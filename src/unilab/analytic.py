@@ -7,6 +7,16 @@ under mu_k.  The distribution functions are power series with logarithmic
 terms near x = 0 and plain power series near x = 1; each evaluation
 reports which branch ran, how many terms it used, and a truncation bound.
 
+Every such series has the shape
+
+    sum_n (p_n + r_n L) z0 z^n
+
+with L a logarithm of the argument (zero for the plain series).  Each
+series is one cached coefficient table (p, r), keyed by k where it depends
+on k, and one engine, _sum_series, adds the terms up on Python floats and
+stops at the first term below tol/10 after scaling.  The vectorized CDF
+reads the same tables by Horner's rule.
+
 Throughout, a_n denotes the squared-normalized hypergeometric coefficients
 
     a_n = (1/3)_n (2/3)_n / (n!)^2,
@@ -29,6 +39,7 @@ from scipy.special import gammaln as _gammaln, polygamma as _polygamma, psi as _
 __all__ = [
     "SeriesEvaluation",
     "ClosedFormTable",
+    "check_k",
     "digamma",
     "log_gamma",
     "pochhammer",
@@ -95,6 +106,17 @@ def _require_positive(x: float, name: str) -> float:
     return x
 
 
+def check_k(k) -> float:
+    """k as a float, if the measure mu_k exists for it: finite and k > 1/2.
+
+    The r factor of mu_k is Beta(k-1/2, k-1/2), which needs k > 1/2; an
+    infinite k has no density.  Raises ValueError otherwise.
+    """
+    if k is None or not 0.5 < float(k) < math.inf:
+        raise ValueError(f"mu_k needs a finite k > 0.5, got k = {k}")
+    return float(k)
+
+
 def digamma(x: float) -> float:
     """psi(x) = d/dx ln Gamma(x) for x > 0."""
     return float(_psi(_require_positive(x, "x")))
@@ -116,31 +138,55 @@ def pochhammer(x: float, n: int) -> float:
     return out
 
 
-def _poch_any(x: float, n: int) -> float:
-    out = 1.0
-    for i in range(n):
-        out *= x + i
-    return out
-
-
 # ---------------------------------------------------------------------------
-# the hypergeometric 2F1(1/3, 2/3; 1; z)
+# the series engine and its coefficient tables
 
 
-@lru_cache(maxsize=4)
-def _a_coeffs(n_max: int) -> tuple[float, ...]:
+_Table = tuple[tuple[float, ...], tuple[float, ...]]
+
+
+def _sum_series(table: _Table, z0: float, z: float, scale: float, tol: float,
+                log: float = 0.0) -> tuple[float, float, int]:
+    """Sum of (p_n + r_n log) z0 z^n over the table (p, r), term by term.
+
+    Stops at the first term with |scale * term| < tol/10, which is still
+    added, or after _MAX_TERMS terms.  Returns (sum, bound, terms used);
+    bound = |scale * last term| |z| / (1 - |z|) is the geometric tail that
+    each series here reports for the scaled sum.
+    """
+    p, r = table
+    cut = tol / 10.0
+    total = 0.0
+    zn = z0
+    for n in range(len(p)):
+        term = (p[n] + r[n] * log) * zn
+        total += term
+        if abs(scale * term) < cut:
+            break
+        zn *= z
+    return total, abs(scale * term) * abs(z) / (1.0 - abs(z)), n + 1
+
+
+def _plain(p) -> _Table:
+    """Table of a series without a logarithmic part."""
+    p = tuple(p)
+    return p, (0.0,) * len(p)
+
+
+@lru_cache(maxsize=1)
+def _a_coeffs() -> tuple[float, ...]:
     """a_n = (1/3)_n (2/3)_n / (n!)^2 by recurrence."""
     a = [1.0]
-    for n in range(n_max):
+    for n in range(_MAX_TERMS - 1):
         a.append(a[-1] * (1.0 / 3.0 + n) * (2.0 / 3.0 + n) / ((n + 1.0) ** 2))
     return tuple(a)
 
 
-@lru_cache(maxsize=4)
-def _A_coeffs(n_max: int) -> tuple[float, ...]:
+@lru_cache(maxsize=1)
+def _A_coeffs() -> tuple[float, ...]:
     """A_n = 2 psi(n+1) - psi(n+1/3) - psi(n+2/3) = 3 ln 3 - sum_{j=n+1}^{3n} 3/j."""
     vals = [3.0 * math.log(3.0)]
-    for n in range(1, n_max + 1):
+    for n in range(1, _MAX_TERMS):
         # going n-1 -> n adds j in {3n-2, 3n-1, 3n} to the sum, removes j = n
         vals.append(
             vals[-1]
@@ -150,6 +196,73 @@ def _A_coeffs(n_max: int) -> tuple[float, ...]:
             + 3.0 / n
         )
     return tuple(vals)
+
+
+@lru_cache(maxsize=1)
+def _g_coeffs() -> tuple[float, ...]:
+    """g_p of 2F1(1/3,2/3;1;v) (1-v)^(-1/2) = sum_p g_p v^p, all positive."""
+    a = _a_coeffs()
+    half = [1.0]  # (1/2)_j / j!
+    for j in range(_MAX_TERMS - 1):
+        half.append(half[-1] * (0.5 + j) / (j + 1.0))
+    return tuple(sum(a[n] * half[p - n] for n in range(p + 1)) for p in range(_MAX_TERMS))
+
+
+@lru_cache(maxsize=1)
+def _hyp0_table() -> _Table:
+    """2F1(1/3, 2/3; 1; z) = sum_n a_n z^n."""
+    return _plain(_a_coeffs())
+
+
+@lru_cache(maxsize=1)
+def _hyp1_table() -> _Table:
+    """2F1 = (sqrt(3)/(2 pi)) sum_n a_n (A_n - ln t) t^n, t = 1 - z."""
+    a = _a_coeffs()
+    return tuple(x * y for x, y in zip(a, _A_coeffs())), tuple(-x for x in a)
+
+
+@lru_cache(maxsize=1)
+def _f0_near0_table() -> _Table:
+    """I(x^2) = (sqrt(3)/pi) sum_n a_n x^(2n+1)/(2n+1) (A_n + 2/(2n+1) - 2 ln x)."""
+    a, A = _a_coeffs(), _A_coeffs()
+    return (
+        tuple(a[n] / (2 * n + 1) * (A[n] + 2.0 / (2 * n + 1)) for n in range(_MAX_TERMS)),
+        tuple(-2.0 * a[n] / (2 * n + 1) for n in range(_MAX_TERMS)),
+    )
+
+
+@lru_cache(maxsize=1)
+def _f0_near1_table() -> _Table:
+    """3 - I(x^2) = sum_p g_p V^(p+1)/(p+1), V = 1 - x^2."""
+    return _plain(g / (p + 1) for p, g in enumerate(_g_coeffs()))
+
+
+@lru_cache(maxsize=32)
+def _cdf0_table(k: float) -> _Table:
+    """The CDF series below x = 1/2: sum_n w_n (c_n - 2 ln x) x^(2n+1).
+
+    w_n = a_n / ((2n+1)(n+k)) and c_n = A_n + 2/(2n+1) + 1/(n+k).
+    """
+    a, A = _a_coeffs(), _A_coeffs()
+    w = [a[n] / ((2 * n + 1) * (n + k)) for n in range(_MAX_TERMS)]
+    c = [A[n] + 2.0 / (2 * n + 1) + 1.0 / (n + k) for n in range(_MAX_TERMS)]
+    return tuple(x * y for x, y in zip(w, c)), tuple(-2.0 * x for x in w)
+
+
+@lru_cache(maxsize=32)
+def _cdf1_table(k: float) -> _Table:
+    """tau_r/(r+1), r >= 1, with 1 - F0(x) = c_k (k-1/2) sum_r tau_r V^(r+1)/(r+1)."""
+    g = _g_coeffs()
+    shifted = [1.0]  # (3/2-k)_j / j!
+    for j in range(_MAX_TERMS - 1):
+        shifted.append(shifted[-1] * (1.5 - k + j) / (j + 1))
+    tau = [sum(g[m - 1] / m * shifted[r - m] for m in range(1, r + 1))
+           for r in range(1, _MAX_TERMS + 1)]
+    return _plain(t / (r + 2) for r, t in enumerate(tau))
+
+
+# ---------------------------------------------------------------------------
+# the hypergeometric 2F1(1/3, 2/3; 1; z)
 
 
 def gauss_2f1_onethird(z: float, tol: float = 1e-14) -> SeriesEvaluation:
@@ -166,33 +279,12 @@ def gauss_2f1_onethird(z: float, tol: float = 1e-14) -> SeriesEvaluation:
     if z >= 1.0 or z <= -1.0:
         raise ValueError(f"gauss_2f1_onethird needs -1 < z < 1, got z = {z}")
     if z <= 0.5:
-        term = 1.0
-        total = 1.0
-        n = 0
-        while abs(term) >= tol / 10.0 and n < _MAX_TERMS:
-            term *= (1.0 / 3.0 + n) * (2.0 / 3.0 + n) / ((n + 1.0) ** 2) * z
-            total += term
-            n += 1
-        bound = abs(term) * abs(z) / (1.0 - abs(z))
-        return SeriesEvaluation(total, "series-near-0", n + 1, bound)
-
+        total, bound, n = _sum_series(_hyp0_table(), 1.0, z, 1.0, tol)
+        return SeriesEvaluation(total, "series-near-0", n, bound)
     t = 1.0 - z
-    log_t = math.log(t)
-    a = _a_coeffs(_MAX_TERMS)
-    A = _A_coeffs(_MAX_TERMS)
     scale = _SQRT3_OVER_PI / 2.0
-    total = 0.0
-    tn = 1.0
-    term = scale * (A[0] - log_t)
-    n = 0
-    while abs(term) >= tol / 10.0 and n < _MAX_TERMS:
-        total += term
-        n += 1
-        tn *= t
-        term = scale * a[n] * (A[n] - log_t) * tn
-    total += term
-    bound = abs(term) * t / (1.0 - t)
-    return SeriesEvaluation(total, "series-near-1", n + 1, bound)
+    total, bound, n = _sum_series(_hyp1_table(), 1.0, t, scale, tol, math.log(t))
+    return SeriesEvaluation(scale * total, "series-near-1", n, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +300,7 @@ def h_k(k: float) -> float:
 
     h_1 = pi/2, h_{3/2} = pi^2/105, h_2 = pi/360.  Needs k > 1/2.
     """
-    k = float(k)
-    if not k > 0.5:
-        raise ValueError(f"h_k needs k > 0.5, got k = {k}")
+    k = check_k(k)
     return math.exp(_ln_h(k))
 
 
@@ -229,9 +319,7 @@ def q_moments(k: float, n: int) -> float:
     Closed form 3^(-3n) (k-1/2) ((k)_n)^2 / ((k+n-1/2) (k+1/3)_n (k+2/3)_n).
     <Q>_1 = 1/180, <Q>_{3/2} = 3/286; n = 0 gives exactly 1.
     """
-    k = float(k)
-    if not k > 0.5:
-        raise ValueError(f"q_moments needs k > 0.5, got k = {k}")
+    k = check_k(k)
     if n != int(n) or n < 0:
         raise ValueError(f"moment order must be a nonnegative integer, got {n}")
     n = int(n)
@@ -245,9 +333,7 @@ def mean_entropy_mu(k: float) -> float:
 
     5/6 at k = 1, 286/315 at k = 3/2, 19/20 at k = 2.
     """
-    k = float(k)
-    if not k > 0.5:
-        raise ValueError(f"mean_entropy_mu needs k > 0.5, got k = {k}")
+    k = check_k(k)
     return float(_psi(3.0 * k + 1.0) - _psi(k + 1.0))
 
 
@@ -257,10 +343,8 @@ def mean_generalized_entropy_mu(k: float, q: float) -> float:
     Continuous across q = 1 where it equals the entropy average; evaluated
     there by its quadratic Taylor development to dodge the 0/0.
     """
-    k = float(k)
+    k = check_k(k)
     q = float(q)
-    if not k > 0.5:
-        raise ValueError(f"mean_generalized_entropy_mu needs k > 0.5, got k = {k}")
     if q < 0.0:
         raise ValueError(f"generalized entropy order must satisfy q >= 0, got {q}")
     if abs(q - 1.0) < 1e-6:
@@ -347,41 +431,14 @@ def closed_form_table(k: float) -> ClosedFormTable:
 # ---------------------------------------------------------------------------
 # the distribution of x = sqrt(27 Q) and of |J|
 
-
-def _c_k(k: float) -> float:
-    return math.exp(float(_gammaln(k + 1.0 / 3.0) + _gammaln(k + 2.0 / 3.0) - 2.0 * _gammaln(k)))
-
-
-@lru_cache(maxsize=4)
-def _g_coeffs(p_max: int) -> tuple[float, ...]:
-    """g_p of 2F1(1/3,2/3;1;v) (1-v)^(-1/2) = sum_p g_p v^p, all positive."""
-    a = _a_coeffs(p_max)
-    half = [1.0]  # (1/2)_j / j!
-    for j in range(p_max):
-        half.append(half[-1] * (0.5 + j) / (j + 1.0))
-    return tuple(
-        sum(a[n] * half[p - n] for n in range(p + 1)) for p in range(p_max + 1)
-    )
+# leading terms of each series that cdf_absj_values evaluates by Horner's rule
+_VEC_TERMS_NEAR0 = 65
+_VEC_TERMS_NEAR1 = 220
 
 
 @lru_cache(maxsize=32)
-def _tau_coeffs(k: float, r_max: int) -> tuple[float, ...]:
-    """tau_r (r >= 1) with 1 - F0(x) = c_k (k-1/2) sum_r tau_r V^(r+1)/(r+1), V = 1-x^2."""
-    g = _g_coeffs(r_max)
-    shifted = [1.0]  # (3/2-k)_j / j!
-    for j in range(r_max):
-        shifted.append(shifted[-1] * (1.5 - k + j) / (j + 1))
-    tau = []
-    for r in range(1, r_max + 1):
-        tau.append(sum(g[m - 1] / m * shifted[r - m] for m in range(1, r + 1)))
-    return tuple(tau)
-
-
-def _check_k(k: float) -> float:
-    k = float(k)
-    if not k > 0.5:
-        raise ValueError(f"the measure family needs k > 0.5, got k = {k}")
-    return k
+def _c_k(k: float) -> float:
+    return math.exp(float(_gammaln(k + 1.0 / 3.0) + _gammaln(k + 2.0 / 3.0) - 2.0 * _gammaln(k)))
 
 
 def _x_from_y(y: float) -> float:
@@ -397,7 +454,7 @@ def density_f12(k: float, x: float, tol: float = 1e-14) -> SeriesEvaluation:
     This is the law of the squared-area factor before the final Beta mixing;
     the method tag describes the position of x itself.
     """
-    k = _check_k(k)
+    k = check_k(k)
     x = float(x)
     if not 0.0 < x <= 1.0:
         raise ValueError(f"density_f12 needs 0 < x <= 1, got x = {x}")
@@ -407,47 +464,25 @@ def density_f12(k: float, x: float, tol: float = 1e-14) -> SeriesEvaluation:
     return SeriesEvaluation(pref * inner.value, method, inner.terms_used, pref * inner.error_bound)
 
 
-def _f0_small(k: float, x: float, tol: float) -> SeriesEvaluation:
+def _f0_near0(k: float, x: float, tol: float) -> SeriesEvaluation:
     """f0(x) = 2 c_k (k-1/2) x^(2k-2) (3 - I(x^2)) via the log series, x <= 1/2."""
+    if x == 0.0 and k < 1.0:
+        # f0 behaves like 6 c_k (k-1/2) x^(2k-2), which diverges for k < 1
+        return SeriesEvaluation(math.inf, "series-near-0", 1, 0.0)
     pref = 2.0 * _c_k(k) * (k - 0.5) * x ** (2.0 * k - 2.0)
     if x == 0.0:
         return SeriesEvaluation(3.0 * pref, "series-near-0", 1, 0.0)
-    a = _a_coeffs(_MAX_TERMS)
-    A = _A_coeffs(_MAX_TERMS)
-    log_x = math.log(x)
-    xsq = x * x
-    total = 0.0
-    xpow = x
-    n = 0
-    while n < _MAX_TERMS:
-        term = a[n] * xpow / (2 * n + 1) * (A[n] - 2.0 * log_x + 2.0 / (2 * n + 1))
-        total += term
-        if pref * _SQRT3_OVER_PI * term < tol / 10.0:
-            break
-        xpow *= xsq
-        n += 1
-    bound = pref * _SQRT3_OVER_PI * term * xsq / (1.0 - xsq)
-    value = pref * (3.0 - _SQRT3_OVER_PI * total)
-    return SeriesEvaluation(value, "series-near-0", n + 1, bound)
+    scale = pref * _SQRT3_OVER_PI
+    total, bound, n = _sum_series(_f0_near0_table(), x, x * x, scale, tol, math.log(x))
+    return SeriesEvaluation(pref * (3.0 - _SQRT3_OVER_PI * total), "series-near-0", n, bound)
 
 
-def _f0_large(k: float, x: float, tol: float) -> SeriesEvaluation:
+def _f0_near1(k: float, x: float, tol: float) -> SeriesEvaluation:
     """f0 via 3 - I(x^2) = sum_p g_p V^(p+1)/(p+1), V = 1 - x^2 < 3/4."""
     pref = 2.0 * _c_k(k) * (k - 0.5) * x ** (2.0 * k - 2.0)
     v = 1.0 - x * x
-    g = _g_coeffs(_MAX_TERMS)
-    total = 0.0
-    vpow = v
-    p = 0
-    while p < _MAX_TERMS:
-        term = g[p] * vpow / (p + 1)
-        total += term
-        if pref * term < tol / 10.0:
-            break
-        vpow *= v
-        p += 1
-    bound = pref * term * v / (1.0 - v) if v > 0.0 else 0.0
-    return SeriesEvaluation(pref * total, "series-near-1", p + 1, bound)
+    total, bound, n = _sum_series(_f0_near1_table(), v, v, pref, tol)
+    return SeriesEvaluation(pref * total, "series-near-1", n, bound)
 
 
 def density_absj(k: float, y: float, tol: float = 1e-14) -> SeriesEvaluation:
@@ -455,58 +490,34 @@ def density_absj(k: float, y: float, tol: float = 1e-14) -> SeriesEvaluation:
 
     Equal to 6 sqrt(3) f0(6 sqrt(3) y) where f0 is the density of
     x = sqrt(27 Q).  At k = 1 the density starts at 8 pi for y -> 0 and
-    falls to zero at the endpoint.
+    falls to zero at the endpoint.  Near y = 0 it behaves like y^(2k-2),
+    so at y = 0 it is 0 for k > 1 and math.inf for k < 1.
     """
-    k = _check_k(k)
+    k = check_k(k)
     x = _x_from_y(y)
-    inner = _f0_small(k, x, tol / _X_SCALE) if x <= 0.5 else _f0_large(k, x, tol / _X_SCALE)
+    inner = (_f0_near0 if x <= 0.5 else _f0_near1)(k, x, tol / _X_SCALE)
     return SeriesEvaluation(
         _X_SCALE * inner.value, inner.method, inner.terms_used, _X_SCALE * inner.error_bound
     )
 
 
-def _cdf_small(k: float, x: float, tol: float) -> SeriesEvaluation:
-    pref = 2.0 * _c_k(k) * (k - 0.5) * x ** (2.0 * k - 1.0)
+def _cdf_near0(k: float, x: float, tol: float) -> SeriesEvaluation:
+    """F0(x) = 2 c_k (k-1/2) x^(2k-1) (3/(2k-1) - (sqrt(3)/(2 pi)) sum_n w_n (c_n - 2 ln x) x^(2n+1))."""
     if x == 0.0:
         return SeriesEvaluation(0.0, "series-near-0", 1, 0.0)
-    a = _a_coeffs(_MAX_TERMS)
-    A = _A_coeffs(_MAX_TERMS)
-    log_x = math.log(x)
-    xsq = x * x
-    total = 0.0
-    xpow = x
-    n = 0
-    while n < _MAX_TERMS:
-        c_n = A[n] + 2.0 / (2 * n + 1) + 1.0 / (n + k)
-        term = a[n] * xpow / ((2 * n + 1) * (n + k)) * (c_n - 2.0 * log_x)
-        total += term
-        if pref * term * _SQRT3_OVER_PI / 2.0 < tol / 10.0:
-            break
-        xpow *= xsq
-        n += 1
-    bound = pref * _SQRT3_OVER_PI / 2.0 * term * xsq / (1.0 - xsq)
+    pref = 2.0 * _c_k(k) * (k - 0.5) * x ** (2.0 * k - 1.0)
+    scale = pref * _SQRT3_OVER_PI / 2.0
+    total, bound, n = _sum_series(_cdf0_table(k), x, x * x, scale, tol, math.log(x))
     value = pref * (3.0 / (2.0 * k - 1.0) - _SQRT3_OVER_PI / 2.0 * total)
-    return SeriesEvaluation(value, "series-near-0", n + 1, bound)
+    return SeriesEvaluation(value, "series-near-0", n, bound)
 
 
-def _cdf_large(k: float, x: float, tol: float) -> SeriesEvaluation:
+def _cdf_near1(k: float, x: float, tol: float) -> SeriesEvaluation:
+    """F0(x) = 1 - c_k (k-1/2) sum_r tau_r V^(r+1)/(r+1), V = 1 - x^2 < 3/4."""
     scale = _c_k(k) * (k - 0.5)
     v = 1.0 - x * x
-    if v <= 0.0:
-        return SeriesEvaluation(1.0, "series-near-1", 1, 0.0)
-    tau = _tau_coeffs(k, _MAX_TERMS)
-    total = 0.0
-    vpow = v * v
-    r = 1
-    while r <= _MAX_TERMS:
-        term = tau[r - 1] * vpow / (r + 1)
-        total += term
-        if scale * abs(term) < tol / 10.0:
-            break
-        vpow *= v
-        r += 1
-    bound = scale * abs(term) * v / (1.0 - v)
-    return SeriesEvaluation(1.0 - scale * total, "series-near-1", r, bound)
+    total, bound, n = _sum_series(_cdf1_table(k), v * v, v, scale, tol)
+    return SeriesEvaluation(1.0 - scale * total, "series-near-1", n, bound)
 
 
 def cdf_absj(k: float, y: float, tol: float = 1e-14) -> SeriesEvaluation:
@@ -516,52 +527,43 @@ def cdf_absj(k: float, y: float, tol: float = 1e-14) -> SeriesEvaluation:
     series in V = 1 - x^2 above; F(0) = 0 and F at the right endpoint is
     exactly 1.
     """
-    k = _check_k(k)
+    k = check_k(k)
     x = _x_from_y(y)
-    return _cdf_small(k, x, tol) if x <= 0.5 else _cdf_large(k, x, tol)
+    return (_cdf_near0 if x <= 0.5 else _cdf_near1)(k, x, tol)
 
 
-def cdf_absj_values(k: float, ys, tol: float = 1e-14) -> np.ndarray:
+def cdf_absj_values(k: float, ys) -> np.ndarray:
     """Vectorized cdf_absj over an array of |J| values (values only).
 
-    Fixed-length Horner evaluation of the same two series; agrees with the
-    scalar version to the stated tolerance.
+    Horner evaluation of the leading terms of the same two coefficient
+    tables; agrees with the scalar version to about 1e-13.
     """
-    k = _check_k(k)
+    k = check_k(k)
     y = np.asarray(ys, dtype=float)
     if y.size and (y.min() < -1e-15 or y.max() > ABSJ_MAX * (1.0 + 1e-12)):
         raise ValueError(f"|J| values live in [0, {ABSJ_MAX:.17g}]")
     x = np.minimum(np.clip(y, 0.0, None) * _X_SCALE, 1.0)
     out = np.empty_like(x)
 
-    n_small = 64
-    a = np.array(_a_coeffs(n_small)[: n_small + 1])
-    A = np.array(_A_coeffs(n_small)[: n_small + 1])
-    ns = np.arange(n_small + 1)
-    c = A + 2.0 / (2 * ns + 1) + 1.0 / (ns + k)
-    w = a / ((2 * ns + 1) * (ns + k))
-
+    p, r = _cdf0_table(k)
     small = x <= 0.5
     xs = x[small]
     pos = xs > 0.0
     xsq = xs * xs
     p_const = np.zeros_like(xs)
     p_log = np.zeros_like(xs)
-    for coef_c, coef_w in zip((w * c)[::-1], w[::-1]):
-        p_const = p_const * xsq + coef_c
-        p_log = p_log * xsq + coef_w
+    for coef_p, coef_r in zip(p[_VEC_TERMS_NEAR0 - 1::-1], r[_VEC_TERMS_NEAR0 - 1::-1]):
+        p_const = p_const * xsq + coef_p
+        p_log = p_log * xsq + coef_r
     log_x = np.where(pos, np.log(np.where(pos, xs, 1.0)), 0.0)
-    series = xs * (p_const - 2.0 * log_x * p_log)
+    series = xs * (p_const + log_x * p_log)
     pref = 2.0 * _c_k(k) * (k - 0.5) * np.where(pos, xs, 1.0) ** (2.0 * k - 1.0)
     vals = pref * (3.0 / (2.0 * k - 1.0) - 0.5 * _SQRT3_OVER_PI * series)
     out[small] = np.where(pos, vals, 0.0)
 
-    r_max = 220
-    tau = np.array(_tau_coeffs(k, r_max))
     v = 1.0 - x[~small] ** 2
     acc = np.zeros_like(v)
-    weights = tau / np.arange(2, r_max + 2)
-    for coef in weights[::-1]:
+    for coef in _cdf1_table(k)[0][_VEC_TERMS_NEAR1 - 1::-1]:
         acc = acc * v + coef
     out[~small] = 1.0 - _c_k(k) * (k - 0.5) * acc * v * v
     return out
@@ -573,8 +575,12 @@ def likelihood_ratio_at(y: float, tol: float = 1e-12) -> float:
     The flat measure puts weight 8 pi^2 / 105 on the unistochastic part,
     where it coincides with mu_{3/2}; the ratio is therefore
 
-        density_absj(1, y) / (volume_ratio() * density_absj(3/2, y)).
+        density_absj(1, y) / (volume_ratio() * density_absj(3/2, y)),
+
+    which is math.inf at y = 0, where the mu_{3/2} density vanishes.
     """
     num = density_absj(1.0, y, tol=tol).value
     den = volume_ratio() * density_absj(1.5, y, tol=tol).value
+    if den == 0.0 and num > 0.0:
+        return math.inf
     return num / den

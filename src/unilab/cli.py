@@ -41,7 +41,14 @@ from .core import (
     q_values,
 )
 from .estimators import Statistic, estimate_mean
-from .sampling import DEFAULT_SEED, MeasureSpec, RngStream, sample_b, sample_haar_unitary
+from .sampling import (
+    DEFAULT_SEED,
+    MeasureSpec,
+    RngStream,
+    pushforward_b,
+    sample_b,
+    sample_haar_unitary,
+)
 from .unitary import NotUnistochasticError, jarlskog, jarlskog_values, reconstruct
 
 #: |J| measured in the quark sector, the reference threshold for prob-jobs
@@ -72,9 +79,10 @@ def _parse_measure(text: str) -> MeasureSpec:
             raise argparse.ArgumentTypeError(
                 f"cannot read the k in {text!r}; the form is mu:K"
             ) from None
-        if not k > 0.5:
-            raise argparse.ArgumentTypeError(f"mu needs k > 0.5, got {k:g}")
-        return MeasureSpec.mu(k)
+        try:
+            return MeasureSpec.mu(k)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     raise argparse.ArgumentTypeError(f"unknown measure {text!r}; use haar, mu:K, or flat-b3")
 
 
@@ -196,8 +204,7 @@ def _cmd_sample(args) -> str:
     lines = []
     if spec.kind == "haar":
         u = sample_haar_unitary(root, args.n)
-        m = np.abs(u) ** 2
-        b = m[:, :2, :2].reshape(args.n, 4)
+        b = pushforward_b(u)
         j = jarlskog_values(u)
         lines.append("b1,b2,b3,b4,Q,J2,J")
         q = q_values(b)

@@ -338,6 +338,11 @@ def entropy_values(b) -> np.ndarray:
 
 
 def _entries_generalized_entropy(entries: np.ndarray, q: float) -> np.ndarray:
+    q = float(q)
+    if q < 0.0:
+        raise ValueError(f"generalized entropy needs q >= 0, got {q}")
+    if q == 1.0:
+        return _entries_entropy(entries)
     e = np.asarray(entries, dtype=float)
     # 0**q is 0 for the purpose of these sums even at q = 0 (the q -> 0
     # entropy counts the support), which differs from numpy's 0.0**0.0 == 1.0
@@ -350,21 +355,11 @@ def generalized_entropy(B: BistochasticMatrix, q: float) -> float:
 
     Defined for q >= 0; at q = 1 it returns the Shannon entropy, its limit.
     """
-    q = float(q)
-    if q < 0.0:
-        raise ValueError(f"generalized entropy needs q >= 0, got {q}")
-    if q == 1.0:
-        return entropy(B)
     return float(_entries_generalized_entropy(B.entries, q))
 
 
 def generalized_entropy_values(b, q: float) -> np.ndarray:
     """Vectorized S_q over b arrays of shape (..., 4)."""
-    q = float(q)
-    if q < 0.0:
-        raise ValueError(f"generalized entropy needs q >= 0, got {q}")
-    if q == 1.0:
-        return entropy_values(b)
     return _entries_generalized_entropy(matrix_from_b(b), q)
 
 

@@ -25,17 +25,18 @@ from typing import Optional
 
 import numpy as np
 
+from .analytic import check_k
 from .core import feasible_b_mask
 
 __all__ = [
     "DEFAULT_SEED",
     "MeasureSpec",
     "RngStream",
-    "split_stream",
     "sample_haar_unitary",
     "sample_mu_k",
     "sample_flat_b3",
     "sample_b",
+    "pushforward_b",
 ]
 
 #: default root seed used by the command line tools
@@ -57,11 +58,7 @@ class MeasureSpec:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown measure kind {self.kind!r}; pick from {self._KINDS}")
         if self.kind == "mu":
-            if self.k is None or not self.k > 0.5:
-                raise ValueError(
-                    f"mu_k needs k > 0.5 (the r factor is Beta(k-1/2, k-1/2)); got k = {self.k}"
-                )
-            object.__setattr__(self, "k", float(self.k))
+            object.__setattr__(self, "k", check_k(self.k))
         elif self.k is not None:
             raise ValueError(f"measure {self.kind!r} takes no k parameter")
 
@@ -95,7 +92,7 @@ class RngStream:
     seed = 0 asks for fresh OS entropy; the drawn value is recorded in the
     seed field so the stream and all of its children stay reproducible
     within the run.  The generator is created lazily and is stateful: treat
-    each stream as a single consumable sequence and use split_stream for
+    each stream as a single consumable sequence and use split for
     independent work.
     """
 
@@ -124,10 +121,6 @@ class RngStream:
         """n child streams; pure, does not touch this stream's generator."""
         base = self.index * _SPLIT_BASE
         return tuple(RngStream(self.seed, base + i + 1) for i in range(n))
-
-
-def split_stream(stream: RngStream, n: int) -> tuple[RngStream, ...]:
-    return stream.split(n)
 
 
 def _as_generator(stream) -> np.random.Generator:
@@ -161,12 +154,10 @@ def sample_haar_unitary(stream, n: int) -> np.ndarray:
 def sample_mu_k(stream, n: int, k: float) -> np.ndarray:
     """n draws of b = (b1, b2, b3, b4) from mu_k, shape (n, 4).
 
-    Requires k > 1/2.  k = 1 reproduces the Haar pushforward, k = 3/2 the
-    flat measure on the unistochastic set.
+    Requires a finite k > 1/2.  k = 1 reproduces the Haar pushforward,
+    k = 3/2 the flat measure on the unistochastic set.
     """
-    k = float(k)
-    if not k > 0.5:
-        raise ValueError(f"mu_k needs k > 0.5, got k = {k}")
+    k = check_k(k)
     g = _as_generator(stream)
     b1 = g.beta(k, 2.0 * k, size=n)
     s = g.beta(k, k, size=n)
@@ -203,12 +194,15 @@ def sample_flat_b3(stream, n: int) -> np.ndarray:
     return np.concatenate(chunks)[:n]
 
 
+def pushforward_b(u: np.ndarray) -> np.ndarray:
+    """b = (|U11|^2, |U12|^2, |U21|^2, |U22|^2) of unitaries u, shape (n, 3, 3) -> (n, 4)."""
+    return (np.abs(u[:, :2, :2]) ** 2).reshape(len(u), 4)
+
+
 def sample_b(spec: MeasureSpec, stream, n: int) -> np.ndarray:
     """Draw n b-vectors from the given measure (Haar draws push forward)."""
     if spec.kind == "haar":
-        u = sample_haar_unitary(stream, n)
-        m = np.abs(u) ** 2
-        return m[:, :2, :2].reshape(n, 4).copy()
+        return pushforward_b(sample_haar_unitary(stream, n))
     if spec.kind == "mu":
         return sample_mu_k(stream, n, spec.k)
     return sample_flat_b3(stream, n)

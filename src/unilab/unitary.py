@@ -181,8 +181,7 @@ def jarlskog(u: Unitary3) -> float:
     Every choice of two rows and two columns gives the same value up to
     sign; J^2 = Q/4 for the squared-modulus image.  |J| <= 1/(6 sqrt(3)).
     """
-    e = np.asarray(u.entries if isinstance(u, Unitary3) else u, dtype=complex)
-    return float((e[0, 0] * e[1, 1] * e[0, 1].conjugate() * e[1, 0].conjugate()).imag)
+    return float(jarlskog_values(u.entries if isinstance(u, Unitary3) else u))
 
 
 def jarlskog_values(us) -> np.ndarray:

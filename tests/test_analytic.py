@@ -100,6 +100,8 @@ def test_h_k_special_values():
     assert h_k(2.0) == pytest.approx(math.pi / 360, rel=1e-14)
     with pytest.raises(ValueError):
         h_k(0.5)
+    with pytest.raises(ValueError):
+        h_k(math.inf)
 
 
 def test_volume_ratio():
@@ -241,6 +243,9 @@ def test_density_absj_boundary_values():
     assert density_absj(1.0, 0.0).value == pytest.approx(8 * math.pi, rel=1e-13)
     assert density_absj(1.0, ABSJ_MAX).value == pytest.approx(0.0, abs=1e-12)
     assert density_absj(1.5, 0.0).value == 0.0
+    # for k < 1 the density diverges like y^(2k-2)
+    assert density_absj(0.8, 0.0).value == math.inf
+    assert density_absj(0.8, 1e-300).value > 1e100
     with pytest.raises(ValueError):
         density_absj(1.0, -0.01)
     with pytest.raises(ValueError):
@@ -324,13 +329,26 @@ def test_cdf_absj_branch_agreement():
     # both series, evaluated at their shared point x = 1/2
     y_split = 0.5 / (6 * math.sqrt(3))
     for k in (0.8, 1.0, 1.5, 2.0, 5.0):
-        small = an._cdf_small(k, 0.5, 1e-15)
-        large = an._cdf_large(k, 0.5, 1e-15)
+        small = an._cdf_near0(k, 0.5, 1e-15)
+        large = an._cdf_near1(k, 0.5, 1e-15)
         assert small.value == pytest.approx(large.value, abs=5e-15)
         assert small.method == "series-near-0"
         assert large.method == "series-near-1"
         assert cdf_absj(k, y_split * 0.999).method == "series-near-0"
         assert cdf_absj(k, y_split * 1.001).method == "series-near-1"
+
+
+def test_density_absj_branch_agreement():
+    # the density of x from both series at x = 1/2
+    y_split = 0.5 / (6 * math.sqrt(3))
+    for k in (0.8, 1.0, 1.5, 2.0, 5.0):
+        small = an._f0_near0(k, 0.5, 1e-15)
+        large = an._f0_near1(k, 0.5, 1e-15)
+        assert small.value == pytest.approx(large.value, abs=5e-15)
+        assert small.method == "series-near-0"
+        assert large.method == "series-near-1"
+        assert density_absj(k, y_split * 0.999).method == "series-near-0"
+        assert density_absj(k, y_split * 1.001).method == "series-near-1"
 
 
 def test_cdf_vectorized_matches_scalar():
@@ -372,3 +390,4 @@ def test_likelihood_ratio_at_observed_j():
     # at tiny y the ratio approaches the ratio of the density intercepts;
     # mu_3/2 has vanishing density there, so the ratio blows up
     assert likelihood_ratio_at(1e-8) > likelihood_ratio_at(1e-5) > likelihood_ratio_at(1e-3)
+    assert likelihood_ratio_at(0.0) == math.inf

@@ -189,6 +189,14 @@ def test_sample_usage_errors(capsys):
         main(["sample", "--measure", "mu:abc", "--n", "10"])
     assert exc.value.code == 2
 
+    for k in ("inf", "nan"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--measure", f"mu:{k}", "--n", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--measure" in captured.err and "finite k" in captured.err
+
     with pytest.raises(SystemExit) as exc:
         main(["sample", "--measure", "haar", "--n", "0"])
     assert exc.value.code == 2
@@ -263,10 +271,13 @@ def test_dist_json_format(capsys):
 
 
 def test_dist_rejects_flat(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["dist", "--measure", "flat-b3", "--what", "cdf"])
-    assert exc.value.code == 2
-    assert "--measure" in capsys.readouterr().err
+    for measure in ("flat-b3", "mu:inf"):
+        with pytest.raises(SystemExit) as exc:
+            main(["dist", "--measure", measure, "--what", "cdf"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--measure" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +347,13 @@ def test_estimate_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "--target", "nope", "--measure", "haar"])
     assert exc.value.code == 2
+
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--target", "j2", "--measure", "mu:inf", "--n", "100"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--measure" in captured.err
 
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "--target", "prob-jobs", "--measure", "haar", "--y", "0.2"])

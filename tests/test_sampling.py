@@ -16,7 +16,6 @@ from unilab.sampling import (
     sample_flat_b3,
     sample_haar_unitary,
     sample_mu_k,
-    split_stream,
 )
 from unilab.unitary import jarlskog_values
 
@@ -63,7 +62,7 @@ def test_golden_first_draws_seed_75193():
 
 def test_split_streams():
     root = RngStream(42)
-    kids = split_stream(root, 5)
+    kids = root.split(5)
     assert [c.index for c in kids] == [1, 2, 3, 4, 5]
     assert all(c.seed == 42 for c in kids)
     grand = kids[2].split(2)
@@ -93,7 +92,7 @@ def test_seed_zero_draws_fresh_entropy():
 def test_measure_spec_validation():
     assert MeasureSpec.mu(1.5).label == "mu_1.5"
     assert HAAR.label == "haar" and FLAT_B3.label == "flat_b3"
-    for bad in (0.5, 0.2, -1.0, None):
+    for bad in (0.5, 0.2, -1.0, None, math.inf, math.nan):
         with pytest.raises(ValueError):
             MeasureSpec.mu(bad)
     with pytest.raises(ValueError):
@@ -102,6 +101,8 @@ def test_measure_spec_validation():
         MeasureSpec("lebesgue")
     with pytest.raises(ValueError):
         sample_mu_k(RngStream(1), 10, 0.5)
+    with pytest.raises(ValueError):
+        sample_mu_k(RngStream(1), 2, math.inf)
 
 
 # ---------------------------------------------------------------------------
