@@ -33,7 +33,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln as _gammaln, polygamma as _polygamma, psi as _psi
 
 __all__ = [
@@ -215,6 +214,15 @@ def _hyp0_table() -> _Table:
 
 
 @lru_cache(maxsize=1)
+def _pfaff_table() -> _Table:
+    """2F1(1/3, 1/3; 1; w) = sum_n ((1/3)_n / n!)^2 w^n."""
+    c = [1.0]
+    for n in range(_MAX_TERMS - 1):
+        c.append(c[-1] * ((1.0 / 3.0 + n) / (n + 1.0)) ** 2)
+    return _plain(c)
+
+
+@lru_cache(maxsize=1)
 def _hyp1_table() -> _Table:
     """2F1 = (sqrt(3)/(2 pi)) sum_n a_n (A_n - ln t) t^n, t = 1 - z."""
     a = _a_coeffs()
@@ -268,16 +276,25 @@ def _cdf1_table(k: float) -> _Table:
 def gauss_2f1_onethird(z: float, tol: float = 1e-14) -> SeriesEvaluation:
     """2F1(1/3, 2/3; 1; z) on -1 < z < 1.
 
-    For z <= 1/2 the defining series; above that the expansion around z = 1,
+    For 0 <= z <= 1/2 the defining series.  For z < 0 Pfaff's transformation
+
+        2F1 = (1-z)^(-1/3) 2F1(1/3, 1/3; 1; w),  w = z/(z-1) in (0, 1/2),
+
+    whose series converges at least like 2^-n where the defining one would
+    crawl like |z|^n/n near z = -1.  Above 1/2 the expansion around z = 1,
 
         2F1 = (sqrt(3)/(2 pi)) * sum_n a_n (A_n - ln(1-z)) (1-z)^n,
 
     which converges since 1 - z < 1/2.  Values z >= 1 (logarithmic blowup)
-    and z <= -1 (series divergence) are rejected.
+    and z <= -1 are rejected.
     """
     z = float(z)
     if z >= 1.0 or z <= -1.0:
         raise ValueError(f"gauss_2f1_onethird needs -1 < z < 1, got z = {z}")
+    if z < 0.0:
+        scale = (1.0 - z) ** (-1.0 / 3.0)
+        total, bound, n = _sum_series(_pfaff_table(), 1.0, z / (z - 1.0), scale, tol)
+        return SeriesEvaluation(scale * total, "series-near-0", n, bound)
     if z <= 0.5:
         total, bound, n = _sum_series(_hyp0_table(), 1.0, z, 1.0, tol)
         return SeriesEvaluation(total, "series-near-0", n, bound)
@@ -384,6 +401,10 @@ def b3_integral(f: Callable[[float, float], float], tol: float = 1e-12) -> Serie
     Unnormalized: f = 1 integrates to 1/8.  Raises if the quadrature cannot
     certify the requested absolute tolerance, quoting the achieved bound.
     """
+    # scipy's quadrature takes about a third of a second to import, so only
+    # the callers of this function pay for it
+    from scipy import integrate
+
     evals = 0
 
     def weighted(b2: float, b1: float) -> float:
@@ -569,18 +590,19 @@ def cdf_absj_values(k: float, ys) -> np.ndarray:
     return out
 
 
-def likelihood_ratio_at(y: float, tol: float = 1e-12) -> float:
+def likelihood_ratio_at(y: float) -> float:
     """Density ratio at |J| = y: Haar against the flat polytope measure.
 
     The flat measure puts weight 8 pi^2 / 105 on the unistochastic part,
-    where it coincides with mu_{3/2}; the ratio is therefore
+    where it coincides with mu_{3/2}; the ratio
 
-        density_absj(1, y) / (volume_ratio() * density_absj(3/2, y)),
+        density_absj(1, y) / (volume_ratio() * density_absj(3/2, y))
 
-    which is math.inf at y = 0, where the mu_{3/2} density vanishes.
+    is therefore exactly 1/(8 pi y): mu_{3/2} carries an extra factor
+    sqrt(Q) = 2|J| against mu_1, h_{3/2}/h_1 = 2 pi/105, and the volume
+    ratio is 8 h_{3/2}.  It is math.inf at y = 0 and 6 sqrt(3)/(8 pi) at
+    the endpoint y = 1/(6 sqrt(3)).
     """
-    num = density_absj(1.0, y, tol=tol).value
-    den = volume_ratio() * density_absj(1.5, y, tol=tol).value
-    if den == 0.0 and num > 0.0:
+    if _x_from_y(y) == 0.0:
         return math.inf
-    return num / den
+    return 1.0 / (8.0 * math.pi * min(float(y), ABSJ_MAX))

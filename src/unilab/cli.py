@@ -12,7 +12,6 @@ significant digits, which round-trips float64 exactly.
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -196,29 +195,31 @@ def _cmd_reconstruct(args) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
+#: rows formatted per tolist() call; one call for the whole table holds
+#: every row as Python floats at once
+_ROW_BLOCK = 4096
+
+
 def _cmd_sample(args) -> str:
     spec = args.measure
     root = RngStream(args.seed)
     if args.seed == 0:
         print(f"seed: {root.seed}", file=sys.stderr)
-    lines = []
-    if spec.kind == "haar":
-        u = sample_haar_unitary(root, args.n)
-        b = pushforward_b(u)
-        j = jarlskog_values(u)
-        lines.append("b1,b2,b3,b4,Q,J2,J")
-        q = q_values(b)
-        for i in range(args.n):
-            row = [b[i, 0], b[i, 1], b[i, 2], b[i, 3], q[i], j[i] * j[i], j[i]]
-            lines.append(",".join(_g(x) for x in row))
+    u = sample_haar_unitary(root, args.n) if spec.kind == "haar" else None
+    b = sample_b(spec, root, args.n) if u is None else pushforward_b(u)
+    q = q_values(b)
+    if u is None:
+        header, extra = "b1,b2,b3,b4,Q,J2", [q / 4.0]
     else:
-        b = sample_b(spec, root, args.n)
-        q = q_values(b)
-        lines.append("b1,b2,b3,b4,Q,J2")
-        for i in range(args.n):
-            row = [b[i, 0], b[i, 1], b[i, 2], b[i, 3], q[i], q[i] / 4.0]
-            lines.append(",".join(_g(x) for x in row))
-    return "\n".join(lines) + "\n"
+        j = jarlskog_values(u)
+        header, extra = "b1,b2,b3,b4,Q,J2,J", [j * j, j]
+    table = np.column_stack([b, q, *extra])
+    row = ",".join(["%.17g"] * table.shape[1])
+    chunks = [header]
+    for lo in range(0, len(table), _ROW_BLOCK):
+        chunks.append("\n".join([row % tuple(r) for r in table[lo:lo + _ROW_BLOCK].tolist()]))
+    chunks.append("")  # the final newline, without copying the joined text again
+    return "\n".join(chunks)
 
 
 def _analytic_entries() -> list:
@@ -300,17 +301,9 @@ def _cmd_estimate(args) -> str:
         print(f"seed: {result.seed}", file=sys.stderr)
     if args.format == "csv":
         d = result.as_dict()
-        fields = ["name", "estimate", "std_error", "n_samples", "seed", "reference", "z_score"]
-        values = [
-            d["name"],
-            _g(d["estimate"]),
-            _g(d["std_error"]),
-            str(d["n_samples"]),
-            str(d["seed"]),
-            "" if d["reference"] is None else _g(d["reference"]),
-            "" if d["z_score"] is None else _g(d["z_score"]),
-        ]
-        return ",".join(fields) + "\n" + ",".join(values) + "\n"
+        cells = ["" if v is None else _g(v) if isinstance(v, float) else str(v)
+                 for v in d.values()]
+        return ",".join(d) + "\n" + ",".join(cells) + "\n"
     return result.to_json() + "\n"
 
 

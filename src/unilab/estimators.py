@@ -12,7 +12,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -182,11 +182,6 @@ def _resolve_threads(threads: Optional[int]) -> int:
     return min(threads, N_SUBSTREAMS)
 
 
-def _shard_counts(n: int) -> list:
-    base, rem = divmod(n, N_SUBSTREAMS)
-    return [base + (1 if i < rem else 0) for i in range(N_SUBSTREAMS)]
-
-
 def _moments_of(values: np.ndarray):
     """(count, mean, sum of squared deviations) of a 1-d array."""
     count = values.size
@@ -213,14 +208,44 @@ def _merge_moments(parts):
     return count, mean, m2
 
 
-def _map_streams(work: Callable, streams, counts, threads: int) -> list:
-    jobs = [(st, c) for st, c in zip(streams, counts) if c > 0]
+def _sharded(work: Callable, n: int, seed: int, threads: Optional[int]) -> tuple:
+    """Run work(stream, count) over the substreams of one root stream.
+
+    The n samples are split as evenly as possible over N_SUBSTREAMS streams,
+    earlier streams taking the remainder.  Returns the root seed actually
+    used and the per-stream results in stream order.
+    """
+    threads = _resolve_threads(threads)
+    root = RngStream(seed)
+    base, rem = divmod(n, N_SUBSTREAMS)
+    jobs = [(st, base + (i < rem)) for i, st in enumerate(root.split(N_SUBSTREAMS))]
+    jobs = [(st, c) for st, c in jobs if c > 0]
     if threads == 1 or len(jobs) == 1:
-        return [work(st, c) for st, c in jobs]
+        return root.seed, [work(st, c) for st, c in jobs]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # executor.map returns results in submission order, which is stream
-        # order, so the reduction below never depends on scheduling
-        return list(pool.map(lambda job: work(*job), jobs))
+        # order, so the reduction never depends on scheduling
+        return root.seed, list(pool.map(lambda job: work(*job), jobs))
+
+
+def _result(name: str, parts, seed: int, reference: Optional[float],
+            indicator: bool = False) -> EstimateResult:
+    """Merge per-stream moments in stream order and score the mean.
+
+    Indicators take the exact Bernoulli standard error sqrt(p(1-p)/n).
+    """
+    count, mean, m2 = _merge_moments(parts)
+    if indicator:
+        std_error = math.sqrt(mean * (1.0 - mean) / count)
+    else:
+        std_error = math.sqrt(m2 / (count - 1) / count)
+    if reference is None:
+        z_score = None
+    elif std_error == 0.0:
+        z_score = 0.0 if mean == reference else math.copysign(math.inf, mean - reference)
+    else:
+        z_score = (mean - reference) / std_error
+    return EstimateResult(name, mean, std_error, count, seed, reference, z_score)
 
 
 def _sample_statistic(measure: MeasureSpec, stat: Statistic, stream: RngStream, count: int):
@@ -272,16 +297,6 @@ def _reference_for(measure: MeasureSpec, stat: Statistic) -> Optional[float]:
     return cdf_absj(k, stat.param).value
 
 
-def _zscore(estimate: float, std_error: float, reference: Optional[float]) -> Optional[float]:
-    if reference is None:
-        return None
-    if std_error == 0.0:
-        if estimate == reference:
-            return 0.0
-        return math.copysign(math.inf, estimate - reference)
-    return (estimate - reference) / std_error
-
-
 def estimate_mean(
     measure: MeasureSpec,
     statistic: Statistic,
@@ -302,29 +317,12 @@ def estimate_mean(
     n = int(n)
     if n < 100:
         raise ValueError(f"need n >= 100 samples for a standard error, got {n}")
-    threads = _resolve_threads(threads)
-    root = RngStream(seed)
-    parts = _map_streams(
+    seed, parts = _sharded(
         lambda st, c: _moments_of(_sample_statistic(measure, statistic, st, c)),
-        root.split(N_SUBSTREAMS),
-        _shard_counts(n),
-        threads,
+        n, seed, threads,
     )
-    count, mean, m2 = _merge_moments(parts)
-    if statistic.is_indicator:
-        std_error = math.sqrt(mean * (1.0 - mean) / count)
-    else:
-        std_error = math.sqrt(m2 / (count - 1) / count)
-    reference = _reference_for(measure, statistic)
-    return EstimateResult(
-        name=f"{measure.label}:{statistic.label}",
-        estimate=mean,
-        std_error=std_error,
-        n_samples=count,
-        seed=root.seed,
-        reference=reference,
-        z_score=_zscore(mean, std_error, reference),
-    )
+    return _result(f"{measure.label}:{statistic.label}", parts, seed,
+                   _reference_for(measure, statistic), statistic.is_indicator)
 
 
 def moment_suite(
@@ -346,41 +344,17 @@ def moment_suite(
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
     measure = MeasureSpec.mu(k)
-    threads = _resolve_threads(threads)
-    root = RngStream(seed)
 
     def work(stream, count):
         qv = q_values(sample_b(measure, stream, count))
-        return [_moments_of(qv**power) for power in range(1, n_max + 1)]
+        return [_moments_of(qv**power) for power in range(n_max + 1)]
 
-    parts = _map_streams(work, root.split(N_SUBSTREAMS), _shard_counts(samples), threads)
-    results = [
-        EstimateResult(
-            name=f"{measure.label}:Q^0",
-            estimate=1.0,
-            std_error=0.0,
-            n_samples=samples,
-            seed=root.seed,
-            reference=1.0,
-            z_score=0.0,
-        )
-    ]
-    for power in range(1, n_max + 1):
-        count, mean, m2 = _merge_moments(part[power - 1] for part in parts)
-        std_error = math.sqrt(m2 / (count - 1) / count)
-        reference = q_moments(measure.k, power)
-        results.append(
-            EstimateResult(
-                name=f"{measure.label}:Q^{power}",
-                estimate=mean,
-                std_error=std_error,
-                n_samples=count,
-                seed=root.seed,
-                reference=reference,
-                z_score=_zscore(mean, std_error, reference),
-            )
-        )
-    return tuple(results)
+    seed, parts = _sharded(work, samples, seed, threads)
+    return tuple(
+        _result(f"{measure.label}:Q^{power}", [part[power] for part in parts], seed,
+                q_moments(measure.k, power))
+        for power in range(n_max + 1)
+    )
 
 
 def ks_distance(samples: EmpiricalCdf, analytic_cdf: Callable[[float], float]) -> float:

@@ -63,7 +63,8 @@ def test_gamma_primitives_reject_bad_domains():
 
 
 def test_2f1_against_scipy_on_grid():
-    for z in np.concatenate([np.linspace(-0.9, 0.999, 41), [0.5, 0.5 + 1e-12]]):
+    near_minus_one = [-0.99, -0.9999, -0.999999]
+    for z in np.concatenate([np.linspace(-0.9, 0.999, 41), [0.5, 0.5 + 1e-12], near_minus_one]):
         ev = gauss_2f1_onethird(float(z))
         assert ev.value == pytest.approx(hyp2f1(1 / 3, 2 / 3, 1, z), rel=1e-12)
         assert ev.error_bound <= 1e-14
@@ -391,3 +392,11 @@ def test_likelihood_ratio_at_observed_j():
     # mu_3/2 has vanishing density there, so the ratio blows up
     assert likelihood_ratio_at(1e-8) > likelihood_ratio_at(1e-5) > likelihood_ratio_at(1e-3)
     assert likelihood_ratio_at(0.0) == math.inf
+    # both densities vanish at the endpoint, where the ratio is still finite
+    endpoint = 6 * math.sqrt(3) / (8 * math.pi)
+    assert likelihood_ratio_at(ABSJ_MAX) == pytest.approx(endpoint, rel=1e-15)
+    for y in (1e-6, 3.08e-5, 1e-3, 0.03, 0.09):
+        ratio = density_absj(1.0, y).value / (volume_ratio() * density_absj(1.5, y).value)
+        assert likelihood_ratio_at(y) == pytest.approx(ratio, rel=1e-12)
+    with pytest.raises(ValueError):
+        likelihood_ratio_at(1.01 * ABSJ_MAX)

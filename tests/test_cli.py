@@ -12,8 +12,10 @@ import pytest
 
 import unilab
 from unilab.analytic import ABSJ_MAX, cdf_absj, volume_ratio
-from unilab.cli import J_OBSERVED, main
-from unilab.sampling import DEFAULT_SEED, MeasureSpec, RngStream, sample_b
+from unilab.cli import _ROW_BLOCK, J_OBSERVED, main
+from unilab.core import q_values
+from unilab.sampling import DEFAULT_SEED, MeasureSpec, RngStream, sample_b, sample_haar_unitary
+from unilab.unitary import jarlskog_values
 
 
 @pytest.fixture
@@ -160,6 +162,28 @@ def test_sample_flat(capsys):
     out = run_ok(capsys, ["sample", "--measure", "flat-b3", "--n", "5", "--seed", "7"])
     assert out.startswith("b1,b2,b3,b4,Q,J2\n")
     assert len(out.rstrip("\n").split("\n")) == 6
+
+
+@pytest.mark.parametrize("text,spec", [
+    ("haar", MeasureSpec.haar()),
+    ("mu:1.5", MeasureSpec.mu(1.5)),
+    ("flat-b3", MeasureSpec.flat_b3()),
+])
+def test_sample_columns_are_the_library_values(capsys, text, spec):
+    n = _ROW_BLOCK + 3  # rows are formatted in blocks; cross a block boundary
+    out = run_ok(capsys, ["sample", "--measure", text, "--n", str(n), "--seed", "11"])
+    lines = out.rstrip("\n").split("\n")
+    table = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+    assert table.shape == (n, 7 if spec.kind == "haar" else 6)
+    b = sample_b(spec, RngStream(11), n)
+    np.testing.assert_array_equal(table[:, :4], b)
+    np.testing.assert_array_equal(table[:, 4], q_values(b))
+    if spec.kind == "haar":
+        j = jarlskog_values(sample_haar_unitary(RngStream(11), n))
+        np.testing.assert_array_equal(table[:, 6], j)
+        np.testing.assert_array_equal(table[:, 5], j * j)
+    else:
+        np.testing.assert_array_equal(table[:, 5], q_values(b) / 4.0)
 
 
 def test_sample_seed_zero_uses_entropy(capsys):

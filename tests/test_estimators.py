@@ -212,6 +212,7 @@ def test_moment_suite_rows():
     zero = rows[0]
     assert zero.estimate == 1.0 and zero.std_error == 0.0 and zero.z_score == 0.0
     assert zero.reference == 1.0
+    assert zero.name == "mu_1.5:Q^0" and zero.n_samples == 10**5
     for power, row in enumerate(rows[1:], start=1):
         assert row.name == f"mu_1.5:Q^{power}"
         assert row.reference == pytest.approx(q_moments(1.5, power), rel=1e-12)

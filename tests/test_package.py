@@ -1,4 +1,9 @@
+import importlib
+import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import unilab
@@ -27,3 +32,27 @@ def test_names_the_benchmark_reads_are_exported():
         used |= set(re.findall(r"\bunilab\.(\w+)", (PERFBENCH / script).read_text()))
     assert {"estimate_mean", "cdf_absj", "sample_b", "jarlskog"} <= used
     assert [name for name in sorted(used) if not hasattr(unilab, name)] == []
+
+
+def test_import_leaves_scipy_quadrature_unloaded():
+    # scipy.integrate is imported by b3_integral on first use, not by the package
+    src = str(Path(unilab.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    code = "import sys, unilab, unilab.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_functions_the_tracer_wraps_exist():
+    # a traced name that is missing is skipped silently, and a traced run
+    # then has no spans for the metrics built on it
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert "estimators" in spans._TRACED
+    missing = [f"{short}.{name}" for short, names in spans._TRACED.items() for name in names
+               if not callable(getattr(importlib.import_module(f"unilab.{short}"), name, None))]
+    assert missing == []
