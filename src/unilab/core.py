@@ -28,6 +28,7 @@ search for the extreme values of Q).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,20 +145,20 @@ class BVector:
         return cls(b1, b2, b3, b4)
 
 
+def _b_entries(b) -> tuple:
+    """The nine entries of B(b) for b arrays of shape (..., 4), each of shape (...)."""
+    return _nine_entries(*np.moveaxis(np.asarray(b, dtype=float), -1, 0))
+
+
 def matrix_from_b(b) -> np.ndarray:
     """Assemble the full 3x3 entries array from b, shape (..., 4) -> (..., 3, 3)."""
-    arr = np.asarray(b, dtype=float)
-    b1, b2, b3, b4 = np.moveaxis(arr, -1, 0)
-    entries = np.stack(_nine_entries(b1, b2, b3, b4), axis=-1)
-    return entries.reshape(arr.shape[:-1] + (3, 3))
+    entries = np.stack(_b_entries(b), axis=-1)
+    return entries.reshape(entries.shape[:-1] + (3, 3))
 
 
 def feasible_b_mask(b, atol: float = 0.0) -> np.ndarray:
     """Boolean mask over b arrays of shape (..., 4): all nine entries >= -atol."""
-    arr = np.asarray(b, dtype=float)
-    b1, b2, b3, b4 = np.moveaxis(arr, -1, 0)
-    entries = np.stack(_nine_entries(b1, b2, b3, b4), axis=-1)
-    return np.min(entries, axis=-1) >= -atol
+    return functools.reduce(np.minimum, _b_entries(b)) >= -atol
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,8 +265,7 @@ def q_of(b: BVector) -> float:
 
 def q_values(b) -> np.ndarray:
     """Vectorized Q over an array of b vectors, shape (..., 4) -> (...)."""
-    b1, b2, b3, b4 = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
-    return _q_poly(b1, b2, b3, b4)
+    return _q_poly(*np.moveaxis(np.asarray(b, dtype=float), -1, 0))
 
 
 def link_lengths(B: BistochasticMatrix) -> tuple[float, float, float]:
@@ -317,11 +317,35 @@ def chain_link_feasible(lengths: Sequence[float]) -> bool:
     return 2.0 * max(ls) <= sum(ls)
 
 
-def _entries_entropy(entries: np.ndarray) -> np.ndarray:
-    e = np.asarray(entries, dtype=float)
+def _entropy_of(entries) -> np.ndarray:
+    """-(1/3) sum e ln e over nine entry arrays, with 0 ln 0 := 0."""
+    total = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(e > 0.0, e * np.log(np.where(e > 0.0, e, 1.0)), 0.0)
-    return -terms.sum(axis=(-2, -1)) / 3.0
+        for e in entries:
+            # e ln e is nan at 0 and at rounding noise below it; both count 0
+            total = total + np.where(e > 0.0, e * np.log(e), 0.0)
+    return -total / 3.0
+
+
+def _generalized_entropy_of(entries, q: float) -> np.ndarray:
+    """(1/(3(q-1))) sum (e - e^q) over nine entry arrays; q = 1 is the Shannon limit."""
+    q = float(q)
+    if q < 0.0:
+        raise ValueError(f"generalized entropy needs q >= 0, got {q}")
+    if q == 1.0:
+        return _entropy_of(entries)
+    total = 0.0
+    with np.errstate(invalid="ignore"):
+        for e in entries:
+            # 0**q is 0 for the purpose of these sums even at q = 0 (the q -> 0
+            # entropy counts the support), which differs from numpy's 0.0**0.0 == 1.0
+            total = total + (e - np.where(e > 0.0, e**q, 0.0))
+    return total / (3.0 * (q - 1.0))
+
+
+def _matrix_entries(B: BistochasticMatrix) -> np.ndarray:
+    # nine one-element rows, so the scalar quantities run the batch arithmetic
+    return B.entries.reshape(9, 1)
 
 
 def entropy(B: BistochasticMatrix) -> float:
@@ -329,25 +353,12 @@ def entropy(B: BistochasticMatrix) -> float:
 
     Ranges from 0 (permutation matrices) to ln 3 (the flat matrix W).
     """
-    return float(_entries_entropy(B.entries))
+    return float(_entropy_of(_matrix_entries(B))[0])
 
 
 def entropy_values(b) -> np.ndarray:
     """Vectorized entropy over b arrays of shape (..., 4)."""
-    return _entries_entropy(matrix_from_b(b))
-
-
-def _entries_generalized_entropy(entries: np.ndarray, q: float) -> np.ndarray:
-    q = float(q)
-    if q < 0.0:
-        raise ValueError(f"generalized entropy needs q >= 0, got {q}")
-    if q == 1.0:
-        return _entries_entropy(entries)
-    e = np.asarray(entries, dtype=float)
-    # 0**q is 0 for the purpose of these sums even at q = 0 (the q -> 0
-    # entropy counts the support), which differs from numpy's 0.0**0.0 == 1.0
-    powered = np.where(e > 0.0, np.where(e > 0.0, e, 1.0) ** q, 0.0)
-    return (e - powered).sum(axis=(-2, -1)) / (3.0 * (q - 1.0))
+    return _entropy_of(_b_entries(b))
 
 
 def generalized_entropy(B: BistochasticMatrix, q: float) -> float:
@@ -355,12 +366,12 @@ def generalized_entropy(B: BistochasticMatrix, q: float) -> float:
 
     Defined for q >= 0; at q = 1 it returns the Shannon entropy, its limit.
     """
-    return float(_entries_generalized_entropy(B.entries, q))
+    return float(_generalized_entropy_of(_matrix_entries(B), q)[0])
 
 
 def generalized_entropy_values(b, q: float) -> np.ndarray:
     """Vectorized S_q over b arrays of shape (..., 4)."""
-    return _entries_generalized_entropy(matrix_from_b(b), q)
+    return _generalized_entropy_of(_b_entries(b), q)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .analytic import (
 )
 from .analytic import volume_ratio as _volume_ratio
 from .core import Q_CLASS_TOL, entropy_values, generalized_entropy_values, q_values
-from .sampling import DEFAULT_SEED, MeasureSpec, RngStream, sample_b, sample_haar_unitary
+from .sampling import DEFAULT_SEED, MeasureSpec, RngStream, _haar_columns, sample_b
 from .unitary import jarlskog_values
 
 #: number of substreams the sample budget is sharded over; fixed so that
@@ -250,8 +250,8 @@ def _result(name: str, parts, seed: int, reference: Optional[float],
 
 def _sample_statistic(measure: MeasureSpec, stat: Statistic, stream: RngStream, count: int):
     if measure.kind == "haar" and stat.name in ("J2", "indicator_absj_leq"):
-        # with the unitary in hand, use the imaginary part directly
-        j = jarlskog_values(sample_haar_unitary(stream, count))
+        # J reads only the first two columns of the unitary
+        j = jarlskog_values(_haar_columns(stream, count, 2))
         if stat.name == "J2":
             return j * j
         return (np.abs(j) <= stat.param).astype(float)

@@ -10,8 +10,11 @@ Three families of measures:
   factorizes: b1 ~ Beta(k, 2k), s and t ~ Beta(k, k) independently, and
   (1+r)/2 ~ Beta(k-1/2, k-1/2).  k = 1 is the Haar pushforward; k = 3/2 is
   the flat (Lebesgue) measure on the unistochastic set.
-* The flat measure on the whole bistochastic polytope, by rejection from
-  the unit box in b (acceptance rate 1/8).
+* The flat measure on the whole bistochastic polytope, sampled exactly
+  from its triangulation into three 4-simplices of equal b-volume 1/24:
+  pick a simplex uniformly, then take uniform-spacing (Dirichlet(1,...,1))
+  weights on its five vertices.  Each draw reads one row of five uniforms,
+  so the first n draws do not depend on n or on the block size.
 
 Streams are Philox counter-based generators addressed by (seed, index), so
 any stream can be split into child streams deterministically and without
@@ -26,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .analytic import check_k
-from .core import feasible_b_mask
+from .core import _SIMPLEX_VERTICES, _VERTEX_B, feasible_b_mask
 
 __all__ = [
     "DEFAULT_SEED",
@@ -131,6 +134,26 @@ def _as_generator(stream) -> np.random.Generator:
     raise TypeError(f"expected RngStream or numpy Generator, got {type(stream).__name__}")
 
 
+def _haar_columns(stream, n: int, m: int) -> np.ndarray:
+    """The first m columns of n Haar unitaries, shape (n, 3, m) complex.
+
+    Draws the whole 3x3 Ginibre matrix, real parts first, so the stream is
+    consumed the same way for every m and the columns do not depend on m.
+    """
+    g = _as_generator(stream)
+    re = g.standard_normal((n, 3, 3))
+    im = g.standard_normal((n, 3, 3))
+    q = np.empty((n, 3, m), dtype=complex)
+    for j in range(m):
+        v = re[:, :, j] + 1j * im[:, :, j]
+        for _ in range(2):  # reorthogonalize once: kills ill-conditioned draws
+            for i in range(j):
+                proj = np.sum(q[:, :, i].conj() * v, axis=1, keepdims=True)
+                v -= proj * q[:, :, i]
+        q[:, :, j] = v / np.linalg.norm(v, axis=1, keepdims=True)
+    return q
+
+
 def sample_haar_unitary(stream, n: int) -> np.ndarray:
     """n Haar-distributed unitaries, shape (n, 3, 3) complex.
 
@@ -138,17 +161,7 @@ def sample_haar_unitary(stream, n: int) -> np.ndarray:
     positive real number picks the unique QR representative, which is what
     makes the output exactly Haar.
     """
-    g = _as_generator(stream)
-    z = g.standard_normal((n, 3, 3)) + 1j * g.standard_normal((n, 3, 3))
-    q = np.empty_like(z)
-    for j in range(3):
-        v = z[:, :, j].copy()
-        for _ in range(2):  # reorthogonalize once: kills ill-conditioned draws
-            for i in range(j):
-                proj = np.sum(q[:, :, i].conj() * v, axis=1, keepdims=True)
-                v -= proj * q[:, :, i]
-        q[:, :, j] = v / np.linalg.norm(v, axis=1, keepdims=True)
-    return q
+    return _haar_columns(stream, n, 3)
 
 
 def sample_mu_k(stream, n: int, k: float) -> np.ndarray:
@@ -171,38 +184,50 @@ def sample_mu_k(stream, n: int, k: float) -> np.ndarray:
     return np.stack([b1, b2, b3, np.clip(b4, 0.0, 1.0)], axis=1)
 
 
-_REJECTION_BLOCK = 65536
+#: rows of uniforms drawn per block, which keeps memory flat in n
+_FLAT_BLOCK = 65536
+
+# b-vectors of the five vertices of each simplex of the triangulation
+_SIMPLEX_B = np.array([[_VERTEX_B[v] for v in names] for names in _SIMPLEX_VERTICES], dtype=float)
 
 
 def sample_flat_b3(stream, n: int) -> np.ndarray:
     """n draws from the flat measure on the polytope, shape (n, 4).
 
-    Rejection from the unit box.  Candidates consume the stream in order,
-    so the first n accepted points do not depend on how many were requested
-    or on how the candidate blocks are sized (the box acceptance rate is
-    1/8; blocks are sized for the remaining need, capped for memory).
+    Exact, with no rejection: each draw reads one row of five uniforms.  The
+    first picks one of the three equal-volume simplices as floor(3u); the
+    other four, sorted, cut [0, 1] into five spacings, which are uniform
+    (Dirichlet(1,...,1)) barycentric weights on that simplex's vertices.
+    Rows consume the stream in order, so the first n points do not depend on
+    how many were requested or on the block size.  The rows go through
+    feasible_b_mask at atol 0 as a guard: it drops only points that rounding
+    puts outside the polytope, and the loop draws their replacements.
     """
     g = _as_generator(stream)
     chunks = []
     have = 0
     while have < n:
-        block = min(_REJECTION_BLOCK, max(512, 9 * (n - have)))
-        cand = g.random((block, 4))
+        u = g.random((min(_FLAT_BLOCK, n - have), 5))
+        spacings = np.diff(np.sort(u[:, 1:], axis=1), axis=1, prepend=0.0, append=1.0)
+        verts = _SIMPLEX_B[(3.0 * u[:, 0]).astype(np.intp)]
+        # vertex coordinates are 0 or 1, and each is 1 at two vertices of a
+        # simplex at most, so each sum rounds once whatever order einsum uses
+        cand = np.einsum("nk,nkj->nj", spacings, verts)
         keep = cand[feasible_b_mask(cand)]
         chunks.append(keep)
         have += len(keep)
-    return np.concatenate(chunks)[:n]
+    return np.concatenate(chunks)
 
 
 def pushforward_b(u: np.ndarray) -> np.ndarray:
-    """b = (|U11|^2, |U12|^2, |U21|^2, |U22|^2) of unitaries u, shape (n, 3, 3) -> (n, 4)."""
+    """b = (|U11|^2, |U12|^2, |U21|^2, |U22|^2) of unitaries u, shape (n, 3, m >= 2) -> (n, 4)."""
     return (np.abs(u[:, :2, :2]) ** 2).reshape(len(u), 4)
 
 
 def sample_b(spec: MeasureSpec, stream, n: int) -> np.ndarray:
     """Draw n b-vectors from the given measure (Haar draws push forward)."""
     if spec.kind == "haar":
-        return pushforward_b(sample_haar_unitary(stream, n))
+        return pushforward_b(_haar_columns(stream, n, 2))
     if spec.kind == "mu":
         return sample_mu_k(stream, n, spec.k)
     return sample_flat_b3(stream, n)

@@ -185,7 +185,11 @@ def jarlskog(u: Unitary3) -> float:
 
 
 def jarlskog_values(us) -> np.ndarray:
-    """Vectorized J over a batch of unitaries, shape (..., 3, 3) -> (...)."""
+    """Vectorized J over a batch of unitaries, shape (..., 3, 3) -> (...).
+
+    Reads only the upper-left 2x2 block, so the first two columns,
+    shape (..., 3, 2), are enough.
+    """
     e = np.asarray(us, dtype=complex)
     return (
         e[..., 0, 0] * e[..., 1, 1] * e[..., 0, 1].conj() * e[..., 1, 0].conj()

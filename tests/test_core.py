@@ -19,14 +19,23 @@ from unilab.core import (
 )
 
 
+def _simplex_point(simplex, raw):
+    """b from one simplex of the triangulation and five raw vertex weights.
+
+    The weights are normalized to sum to 1 (all zero picks the first
+    vertex); zero weights put the point on a face, an edge or a vertex of
+    the polytope, where Q <= 0.
+    """
+    total = sum(raw)
+    weights = [w / total for w in raw] if total > 0.0 else [1.0, 0.0, 0.0, 0.0, 0.0]
+    verts = [core._VERTEX_B[name] for name in core._SIMPLEX_VERTICES[simplex]]
+    return BVector(*(sum(w * v[i] for w, v in zip(weights, verts)) for i in range(4)))
+
+
 def feasible_floats():
-    """Strategy producing b vectors inside the polytope."""
-    coords = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-    return (
-        st.tuples(coords, coords, coords, coords)
-        .filter(lambda b: core.feasible_b_mask(np.array(b)))
-        .map(lambda b: BVector(*b))
-    )
+    """Strategy producing b vectors inside the polytope, built without filtering."""
+    weight = st.floats(min_value=0.0, max_value=1.0)
+    return st.builds(_simplex_point, st.integers(0, 2), st.tuples(*[weight] * 5))
 
 
 def random_b(rng, n):
@@ -251,6 +260,37 @@ def test_generalized_entropy_vectorized_matches_scalar():
         vals = core.generalized_entropy_values(pts, q)
         m = BistochasticMatrix.from_b(BVector.from_array(pts[0]))
         assert math.isclose(vals[0], core.generalized_entropy(m, q), rel_tol=1e-14)
+
+
+def _stacked_entropy(b, q):
+    """The entropies as computed on a stacked (n, 3, 3) entries array."""
+    e = core.matrix_from_b(b)
+    pos = np.where(e > 0.0, e, 1.0)
+    if q == 1.0:
+        return -np.where(e > 0.0, e * np.log(pos), 0.0).sum(axis=(-2, -1)) / 3.0
+    return (e - np.where(e > 0.0, pos**q, 0.0)).sum(axis=(-2, -1)) / (3.0 * (q - 1.0))
+
+
+def test_entropy_kernels_match_stacked_formula_and_scalar():
+    rng = np.random.default_rng(31)
+    interior = random_b(rng, 2000)
+    faces = random_b(rng, 2000)
+    faces[np.arange(len(faces)), rng.integers(0, 4, len(faces))] = 0.0
+    faces = faces[core.feasible_b_mask(faces)]
+    assert len(faces) > 100
+    assert ((core.matrix_from_b(faces) == 0.0).any(axis=(-2, -1))).all()
+    landmarks = np.array([m.bvec.as_tuple() for m in (core.IDENTITY, core.P, core.W, core.SCHUR)])
+    pts = np.concatenate([interior, faces, landmarks])
+    matrices = [BistochasticMatrix.from_b(row) for row in pts]
+    for q in (1.0, 0.0, 0.5, 2.0, 3.0):
+        if q == 1.0:
+            vals = core.entropy_values(pts)
+            scalar = [core.entropy(m) for m in matrices]
+        else:
+            vals = core.generalized_entropy_values(pts, q)
+            scalar = [core.generalized_entropy(m, q) for m in matrices]
+        np.testing.assert_allclose(vals, _stacked_entropy(pts, q), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(vals, scalar)
 
 
 # ---------------------------------------------------------------------------

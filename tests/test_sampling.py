@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ def test_golden_first_draws_seed_75193():
     f = sample_flat_b3(RngStream(DEFAULT_SEED), 1)[0]
     np.testing.assert_allclose(
         f,
-        [0.11543637043359323, 0.60514636658443277, 0.36369942131809174, 0.10179370986028224],
+        [0.5303983638291874, 0.3833987731881423, 0.3889948971870204, 0.3964973653606042],
         rtol=0,
         atol=1e-16,
     )
@@ -182,8 +183,30 @@ def test_flat_b3_known_means():
     assert abs(zscore(ind, 8 * math.pi**2 / 105)) < 4
 
 
+def test_flat_b3_exact_first_and_second_moments():
+    # uniform on a simplex with vertices v_0..v_4: E[b] = sum v / 5 and
+    # E[b b^T] = (sum v v^T + (sum v)(sum v)^T) / 30; the three simplices
+    # have equal volume, so the flat law averages them
+    mean = [Fraction(0)] * 4
+    second = [[Fraction(0)] * 4 for _ in range(4)]
+    for names in core._SIMPLEX_VERTICES:
+        verts = [core._VERTEX_B[name] for name in names]
+        total = [sum(v[i] for v in verts) for i in range(4)]
+        for i in range(4):
+            mean[i] += Fraction(total[i], 5 * 3)
+            for j in range(4):
+                outer = sum(v[i] * v[j] for v in verts) + total[i] * total[j]
+                second[i][j] += Fraction(outer, 30 * 3)
+    b = sample_flat_b3(RngStream(37), 1_000_000)
+    assert core.feasible_b_mask(b, atol=0.0).all()
+    for i in range(4):
+        assert abs(zscore(b[:, i], float(mean[i]))) < 4
+        for j in range(i, 4):
+            assert abs(zscore(b[:, i] * b[:, j], float(second[i][j]))) < 4
+
+
 def test_box_acceptance_rate_is_volume():
-    # the acceptance rate of the rejection sampler is the b-volume 1/8
+    # the polytope fills 1/8 of the unit box in b: checks the b-volume, not the sampler
     g = RngStream(29).generator
     cand = g.random((400_000, 4))
     hits = core.feasible_b_mask(cand).astype(float)
@@ -199,4 +222,4 @@ def test_sample_b_dispatch():
     )
     bh = sample_b(HAAR, RngStream(31), 5)
     u = sample_haar_unitary(RngStream(31), 5)
-    np.testing.assert_allclose(bh, np.abs(u[:, :2, :2].reshape(5, 4)) ** 2, atol=1e-15)
+    np.testing.assert_array_equal(bh, np.abs(u[:, :2, :2].reshape(5, 4)) ** 2)
