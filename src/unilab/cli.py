@@ -148,7 +148,7 @@ def _load_matrix(path: str) -> BistochasticMatrix:
         if "rows" in payload:
             return BistochasticMatrix.from_entries(payload["rows"])
         return BistochasticMatrix.from_b(payload["b"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         # well-formed file, but not a bistochastic matrix: a domain error
         raise ValueError(f"--input: {exc}") from None
 

@@ -19,6 +19,12 @@ Q < 0 means no preimage exists at all.  On the whole polytope Q ranges over
 [-1/16, 1/27]; the minimum is attained at the Schur matrix (P + P^2)/2 and
 the maximum at the flat matrix W.
 
+The scalar functions of one matrix (q_of, classify, link_lengths, entropy,
+generalized_entropy and unitary.reconstruct) take any matrix form: a
+BistochasticMatrix, a BVector, a 4-vector b or a 3x3 array, validated once.
+NaN or infinite entries, entries below -ENTRY_ATOL, sums off by more than
+SUM_ATOL and any other shape raise ValueError.
+
 This module holds the data model, the Q test and chain-link test, entropies,
 the named special matrices, and the geometry of the polytope itself
 (triangulation volume, the embedding Gram determinant, and a grid-plus-refine
@@ -114,8 +120,8 @@ def _nine_entries(b1, b2, b3, b4):
 class BVector:
     """The four free entries (B11, B12, B21, B22) of a 3x3 bistochastic matrix.
 
-    Validates on construction that all nine induced matrix entries are
-    nonnegative within ENTRY_ATOL.
+    Validates on construction that b is finite and that all nine induced
+    matrix entries are nonnegative within ENTRY_ATOL.
     """
 
     b1: float
@@ -126,10 +132,13 @@ class BVector:
     def __post_init__(self) -> None:
         for name in ("b1", "b2", "b3", "b4"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        worst = min(_nine_entries(self.b1, self.b2, self.b3, self.b4))
-        if worst < -ENTRY_ATOL or not math.isfinite(worst):
+        b = self.as_tuple()
+        if not all(map(math.isfinite, b)):
+            raise ValueError(f"b = {b} has a non-finite entry")
+        worst = min(_nine_entries(*b))
+        if worst < -ENTRY_ATOL:
             raise ValueError(
-                f"b = {self.as_tuple()} leaves the bistochastic polytope "
+                f"b = {b} leaves the bistochastic polytope "
                 f"(most negative induced entry: {worst:.3e})"
             )
 
@@ -141,8 +150,10 @@ class BVector:
 
     @classmethod
     def from_array(cls, arr) -> "BVector":
-        b1, b2, b3, b4 = np.asarray(arr, dtype=float).reshape(4)
-        return cls(b1, b2, b3, b4)
+        arr = np.asarray(arr, dtype=float)
+        if arr.shape != (4,):
+            raise ValueError(f"b needs 4 values (b1, b2, b3, b4), got shape {arr.shape}")
+        return cls(*arr.tolist())
 
 
 def _b_entries(b) -> tuple:
@@ -171,19 +182,22 @@ class BistochasticMatrix:
         arr = np.array(self.entries, dtype=float)
         if arr.shape != (3, 3):
             raise ValueError(f"expected a 3x3 matrix, got shape {arr.shape}")
-        # rounding noise from |U_ij|**2 style constructions is clamped, real
-        # negativity is an error
-        tiny = (arr < 0.0) & (arr >= -ENTRY_ATOL)
-        arr[tiny] = 0.0
-        if np.any(arr < 0.0):
-            raise ValueError(f"negative entry {arr.min():.3e} in matrix")
-        rows = arr.sum(axis=1)
-        cols = arr.sum(axis=0)
-        if np.max(np.abs(rows - 1.0)) > SUM_ATOL or np.max(np.abs(cols - 1.0)) > SUM_ATOL:
+        e = arr.ravel().tolist()
+        for i, x in enumerate(e):
+            if not 0.0 < x < math.inf:
+                # rounding noise from |U_ij|**2 style constructions is
+                # clamped; real negativity, NaN and infinity are errors
+                if not -ENTRY_ATOL <= x <= 0.0:
+                    raise ValueError(f"entry B{i // 3 + 1}{i % 3 + 1} = {x:.3e} is negative or not finite")
+                e[i] = 0.0
+        rows = [sum(e[i:i + 3]) for i in (0, 3, 6)]
+        cols = [sum(e[j::3]) for j in (0, 1, 2)]
+        if max(abs(s - 1.0) for s in rows + cols) > SUM_ATOL:
             raise ValueError(
                 f"row sums {rows} / column sums {cols} deviate from 1 "
                 f"by more than {SUM_ATOL:g}"
             )
+        arr = np.array(e).reshape(3, 3)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -204,10 +218,8 @@ class BistochasticMatrix:
             for _ in range(200):
                 arr /= arr.sum(axis=1, keepdims=True)
                 arr /= arr.sum(axis=0, keepdims=True)
-                if (
-                    np.max(np.abs(arr.sum(axis=1) - 1.0)) <= SUM_ATOL / 4
-                    and np.max(np.abs(arr.sum(axis=0) - 1.0)) <= SUM_ATOL / 4
-                ):
+                # the columns were just normalized, so only the rows can be off
+                if np.max(np.abs(arr.sum(axis=1) - 1.0)) <= SUM_ATOL / 4:
                     break
         return cls(arr)
 
@@ -227,6 +239,18 @@ class BistochasticMatrix:
         if dtype is not None:
             arr = arr.astype(dtype)
         return np.array(arr) if copy else arr
+
+
+def _as_matrix(x) -> BistochasticMatrix:
+    """The one intake of the scalar functions (see the module docstring)."""
+    if isinstance(x, BistochasticMatrix):
+        return x
+    arr = np.asarray(x.as_tuple() if isinstance(x, BVector) else x, dtype=float)
+    if arr.shape == (3, 3):
+        return BistochasticMatrix(arr)
+    if arr.shape == (4,):
+        return BistochasticMatrix(matrix_from_b(arr))
+    raise ValueError(f"expected a 3x3 matrix or a 4-vector b, got shape {arr.shape}")
 
 
 class MatrixClass(enum.Enum):
@@ -251,16 +275,16 @@ def _q_poly(b1, b2, b3, b4):
     return 4.0 * b1 * b2 * b3 * b4 - (b1 + b2 + b3 + b4 - 1.0 - b1 * b4 - b2 * b3) ** 2
 
 
-def q_of(b: BVector) -> float:
+def q_of(b) -> float:
     """Q(b) = 4 b1 b2 b3 b4 - (b1+b2+b3+b4-1 - b1 b4 - b2 b3)^2.
 
     Equals 16 A^2 where A is the (possibly imaginary) area of the unitarity
     triangle, and 4 J^2 in terms of the Jarlskog invariant of any unitary
-    preimage.  Lies in [-1/16, 1/27] for every bistochastic b.
+    preimage.  Lies in [-1/16, 1/27] for every bistochastic b.  Any matrix
+    form; NaN or inf entries raise ValueError.
     """
-    if not isinstance(b, BVector):
-        b = BVector.from_array(b)
-    return float(_q_poly(b.b1, b.b2, b.b3, b.b4))
+    e = _as_matrix(b).entries.ravel().tolist()
+    return _q_poly(e[0], e[1], e[3], e[4])
 
 
 def q_values(b) -> np.ndarray:
@@ -268,37 +292,34 @@ def q_values(b) -> np.ndarray:
     return _q_poly(*np.moveaxis(np.asarray(b, dtype=float), -1, 0))
 
 
-def link_lengths(B: BistochasticMatrix) -> tuple[float, float, float]:
+def link_lengths(B) -> tuple[float, float, float]:
     """Link lengths of the unitarity triangle built from columns 1 and 2.
 
     Row j contributes the link |U_j1| |U_j2| = sqrt(B_j1 B_j2), so the triple
-    is (sqrt(b1 b2), sqrt(b3 b4), sqrt(B31 B32)).
+    is (sqrt(b1 b2), sqrt(b3 b4), sqrt(B31 B32)).  Any matrix form; NaN or
+    inf entries raise ValueError.
     """
-    e = np.clip(B.entries, 0.0, None)
-    return (
-        math.sqrt(e[0, 0] * e[0, 1]),
-        math.sqrt(e[1, 0] * e[1, 1]),
-        math.sqrt(e[2, 0] * e[2, 1]),
-    )
+    e = _as_matrix(B).entries.ravel().tolist()
+    return (math.sqrt(e[0] * e[1]), math.sqrt(e[3] * e[4]), math.sqrt(e[6] * e[7]))
 
 
-def classify(B: BistochasticMatrix) -> UnistochasticityVerdict:
+def classify(B) -> UnistochasticityVerdict:
     """Decide whether B is unistochastic from the sign of Q.
 
-    |Q| <= Q_CLASS_TOL is reported as Orthostochastic: Q is a degree-4
-    polynomial in entries bounded by 1, so an absolute 1e-12 band sits safely
-    above double rounding and far below any geometric separation of interest.
+    Any matrix form; NaN or inf entries raise ValueError.  |Q| <= Q_CLASS_TOL
+    is reported as Orthostochastic: Q is a degree-4 polynomial in entries
+    bounded by 1, so an absolute 1e-12 band sits safely above double rounding
+    and far below any geometric separation of interest.
     """
-    if not isinstance(B, BistochasticMatrix):
-        B = BistochasticMatrix.from_entries(np.asarray(B, dtype=float))
-    q = q_of(B.bvec)
+    mat = _as_matrix(B)
+    q = q_of(mat)
     if q > Q_CLASS_TOL:
         cls = MatrixClass.UNISTOCHASTIC
     elif q < -Q_CLASS_TOL:
         cls = MatrixClass.NOT_UNISTOCHASTIC
     else:
         cls = MatrixClass.ORTHOSTOCHASTIC
-    return UnistochasticityVerdict(q, cls, link_lengths(B))
+    return UnistochasticityVerdict(q, cls, link_lengths(mat))
 
 
 def chain_link_feasible(lengths: Sequence[float]) -> bool:
@@ -318,7 +339,11 @@ def chain_link_feasible(lengths: Sequence[float]) -> bool:
 
 
 def _entropy_of(entries) -> np.ndarray:
-    """-(1/3) sum e ln e over nine entry arrays, with 0 ln 0 := 0."""
+    """-(1/3) sum e ln e over nine entry arrays, with 0 ln 0 := 0.
+
+    The scalar functions pass nine one-element rows, so they run the batch
+    arithmetic and give == results.
+    """
     total = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         for e in entries:
@@ -343,17 +368,13 @@ def _generalized_entropy_of(entries, q: float) -> np.ndarray:
     return total / (3.0 * (q - 1.0))
 
 
-def _matrix_entries(B: BistochasticMatrix) -> np.ndarray:
-    # nine one-element rows, so the scalar quantities run the batch arithmetic
-    return B.entries.reshape(9, 1)
-
-
-def entropy(B: BistochasticMatrix) -> float:
+def entropy(B) -> float:
     """Shannon entropy S(B) = -(1/3) sum_ij B_ij ln B_ij, with 0 ln 0 := 0.
 
-    Ranges from 0 (permutation matrices) to ln 3 (the flat matrix W).
+    Ranges from 0 (permutation matrices) to ln 3 (the flat matrix W).  Any
+    matrix form; NaN or inf entries raise ValueError.
     """
-    return float(_entropy_of(_matrix_entries(B))[0])
+    return float(_entropy_of(_as_matrix(B).entries.reshape(9, 1))[0])
 
 
 def entropy_values(b) -> np.ndarray:
@@ -361,12 +382,13 @@ def entropy_values(b) -> np.ndarray:
     return _entropy_of(_b_entries(b))
 
 
-def generalized_entropy(B: BistochasticMatrix, q: float) -> float:
+def generalized_entropy(B, q: float) -> float:
     """Tsallis-type entropy S_q(B) = (1/(3(q-1))) sum_ij (B_ij - B_ij^q).
 
     Defined for q >= 0; at q = 1 it returns the Shannon entropy, its limit.
+    Any matrix form; NaN or inf entries raise ValueError.
     """
-    return float(_generalized_entropy_of(_matrix_entries(B), q)[0])
+    return float(_generalized_entropy_of(_as_matrix(B).entries.reshape(9, 1), q)[0])
 
 
 def generalized_entropy_values(b, q: float) -> np.ndarray:
@@ -461,14 +483,8 @@ def birkhoff_b_volume() -> Fraction:
 
 def embedding_gram_matrix() -> np.ndarray:
     """Gram matrix of the four coordinate directions of b -> B(b) in R^9."""
-    basis = []
-    for i in range(4):
-        step = [0.0] * 4
-        step[i] = 1.0
-        zero = matrix_from_b(np.zeros(4))
-        basis.append((matrix_from_b(np.array(step)) - zero).reshape(9))
-    g = np.array([[float(np.dot(u, v)) for v in basis] for u in basis])
-    return np.rint(g).astype(int)
+    basis = (matrix_from_b(np.eye(4)) - matrix_from_b(np.zeros(4))).reshape(4, 9)
+    return np.rint(basis @ basis.T).astype(int)
 
 
 def embedding_gram_determinant() -> int:

@@ -204,7 +204,7 @@ def sample_flat_b3(stream, n: int) -> np.ndarray:
     puts outside the polytope, and the loop draws their replacements.
     """
     g = _as_generator(stream)
-    chunks = []
+    chunks = [np.empty((0, 4))]
     have = 0
     while have < n:
         u = g.random((min(_FLAT_BLOCK, n - have), 5))

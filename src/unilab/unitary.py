@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    BistochasticMatrix,
-    BVector,
-    Q_CLASS_TOL,
-    link_lengths,
-    q_of,
-)
+from .core import Q_CLASS_TOL, BistochasticMatrix, _as_matrix, _q_poly, link_lengths
 
 __all__ = [
     "UNITARITY_ATOL",
@@ -61,7 +55,7 @@ class Unitary3:
         arr = np.array(self.entries, dtype=complex)
         if arr.shape != (3, 3):
             raise ValueError(f"expected a 3x3 matrix, got shape {arr.shape}")
-        defect = np.max(np.abs(arr.conj().T @ arr - np.eye(3)))
+        defect = _defect(arr)
         if not defect <= UNITARITY_ATOL:
             raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
         arr.setflags(write=False)
@@ -69,14 +63,18 @@ class Unitary3:
 
     @property
     def defect(self) -> float:
-        arr = self.entries
-        return float(np.max(np.abs(arr.conj().T @ arr - np.eye(3))))
+        return float(_defect(self.entries))
 
     def __array__(self, dtype=None, copy=None):
         arr = self.entries
         if dtype is not None:
-            arr = arr.astype(dtype)
+            arr = arr.astype(dtype, copy=False)
         return np.array(arr) if copy else arr
+
+
+def _defect(u: np.ndarray) -> float:
+    """Largest entry of |U* U - I|."""
+    return np.max(np.abs(u.conj().T @ u - np.eye(3)))
 
 
 def _wrap_angle(x: float) -> float:
@@ -171,8 +169,7 @@ def from_angles(params: AngleParams) -> Unitary3:
 
 def to_bistochastic(u: Unitary3) -> BistochasticMatrix:
     """The entrywise squared-modulus image of u."""
-    arr = np.asarray(u.entries if isinstance(u, Unitary3) else u, dtype=complex)
-    return BistochasticMatrix(np.abs(arr) ** 2)
+    return BistochasticMatrix(np.abs(np.asarray(u, dtype=complex)) ** 2)
 
 
 def jarlskog(u: Unitary3) -> float:
@@ -181,7 +178,7 @@ def jarlskog(u: Unitary3) -> float:
     Every choice of two rows and two columns gives the same value up to
     sign; J^2 = Q/4 for the squared-modulus image.  |J| <= 1/(6 sqrt(3)).
     """
-    return float(jarlskog_values(u.entries if isinstance(u, Unitary3) else u))
+    return float(jarlskog_values(u))
 
 
 def jarlskog_values(us) -> np.ndarray:
@@ -211,7 +208,7 @@ def dephase_canonical(u: Unitary3) -> Unitary3:
     first column become real and nonnegative.  Entries that are exactly
     zero keep phase 1.
     """
-    arr = np.array(u.entries if isinstance(u, Unitary3) else u, dtype=complex)
+    arr = np.asarray(u, dtype=complex)
     col_phase = np.exp(-1j * np.angle(arr[0, :]))
     arr = arr * col_phase[None, :]
     row_phase = np.exp(-1j * np.angle(arr[:, 0]))
@@ -231,12 +228,19 @@ def _loewdin_polish(m: np.ndarray) -> np.ndarray:
     return m @ inv_root
 
 
+def _witness(u: np.ndarray) -> Unitary3:
+    """u as a Unitary3, Loewdin-polished first if its defect exceeds UNITARITY_ATOL."""
+    if _defect(u) > UNITARITY_ATOL:
+        u = _loewdin_polish(u)
+    return Unitary3(u)
+
+
 def reconstruct(b) -> ReconstructionResult:
     """Build a unitary preimage of a unistochastic matrix.
 
-    Accepts a BistochasticMatrix, a BVector, or anything convertible to
-    either.  Raises NotUnistochasticError (with the offending Q attached)
-    when Q < -Q_CLASS_TOL.
+    Takes any matrix form that unilab.core lists; NaN or inf entries raise
+    ValueError, and Q < -Q_CLASS_TOL raises NotUnistochasticError with the
+    offending Q attached.
 
     Generic case: the four phases are interior angles of the two unitarity
     triangles on column pairs (1,2) and (1,3), signed so that
@@ -250,29 +254,13 @@ def reconstruct(b) -> ReconstructionResult:
     from the tight link inequality on column pair (1,2) and orthogonality
     of the first two rows.
     """
-    if isinstance(b, BistochasticMatrix):
-        mat = b
-    elif isinstance(b, BVector):
-        mat = BistochasticMatrix.from_b(b)
-    else:
-        arr = np.asarray(b, dtype=float)
-        mat = (
-            BistochasticMatrix.from_b(BVector.from_array(arr))
-            if arr.shape == (4,)
-            else BistochasticMatrix.from_entries(arr)
-        )
-    q = q_of(mat.bvec)
+    mat = _as_matrix(b)
+    b1, b2, b13, b3, b4, b23, b31, b32, b33 = e = mat.entries.ravel().tolist()
+    q = _q_poly(b1, b2, b3, b4)
     if q < -Q_CLASS_TOL:
         raise NotUnistochasticError(q)
-
-    e = mat.entries
-    degenerate = e.min() <= DEGENERACY_ENTRY_TOL or q <= Q_CLASS_TOL
-    if degenerate:
+    if min(e) <= DEGENERACY_ENTRY_TOL or q <= Q_CLASS_TOL:
         return _reconstruct_degenerate(mat)
-
-    b1, b2, b13 = e[0]
-    b3, b4, b23 = e[1]
-    b31, b32, b33 = e[2]
 
     # column pair (1, 2): links sqrt(b1 b2), sqrt(b3 b4), sqrt(b31 b32)
     phi22 = _acos_clipped((b31 * b32 - b1 * b2 - b3 * b4) / (2.0 * math.sqrt(b1 * b2 * b3 * b4)))
@@ -281,44 +269,35 @@ def reconstruct(b) -> ReconstructionResult:
     phi23 = -_acos_clipped((b31 * b33 - b1 * b13 - b3 * b23) / (2.0 * math.sqrt(b1 * b3 * b13 * b23)))
     phi33 = _acos_clipped((b3 * b23 - b1 * b13 - b31 * b33) / (2.0 * math.sqrt(b1 * b13 * b31 * b33)))
 
-    root = np.sqrt(e)
-    phases = np.array(
-        [
-            [0.0, 0.0, 0.0],
-            [0.0, phi22, phi23],
-            [0.0, phi32, phi33],
-        ]
-    )
+    root = np.sqrt(mat.entries)
+    phases = np.array([[0.0, 0.0, 0.0], [0.0, phi22, phi23], [0.0, phi32, phi33]])
+    # a nearly flat triangle is the conditioning corner that _witness polishes
     u = root * np.exp(1j * phases)
-    defect = np.max(np.abs(u.conj().T @ u - np.eye(3)))
-    if defect > UNITARITY_ATOL:
-        # conditioning corner (nearly flat triangle): project back to U(3)
-        u = _loewdin_polish(u)
-    return ReconstructionResult(Unitary3(u), phi22, phi32, phi23, phi33, False)
+    return ReconstructionResult(_witness(u), phi22, phi32, phi23, phi33, False)
 
 
 def _reconstruct_degenerate(mat: BistochasticMatrix) -> ReconstructionResult:
-    m = np.sqrt(np.clip(mat.entries, 0.0, None))
+    e = mat.entries
+    m = np.sqrt(e)
     links = link_lengths(mat)
     # the tight closure L_i = L_j + L_k dictates which two links point the
     # same way; the first maximal link takes the plus sign
-    signs2 = {
-        0: (1.0, -1.0, -1.0),
-        1: (1.0, -1.0, 1.0),
-        2: (1.0, 1.0, -1.0),
-    }[int(np.argmax(links))]
     sigma = np.ones((3, 3))
-    sigma[1, 1], sigma[2, 1] = signs2[1], signs2[2]
+    sigma[1:, 1] = ((-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0))[int(np.argmax(links))]
 
     def neg_sign(x: float) -> float:
         return -1.0 if x >= 0.0 else 1.0
 
-    # rows 1,2 and rows 1,3 orthogonality fix the third column
+    # rows 1,2 and rows 1,3 orthogonality fix the third column; when only
+    # B13 of that column vanishes, row 1 says nothing about it and rows 2,3
+    # fix the sign of the third entry relative to the second
     sigma[1, 2] = neg_sign(m[0, 0] * m[1, 0] + sigma[1, 1] * m[0, 1] * m[1, 1])
-    sigma[2, 2] = neg_sign(m[0, 0] * m[2, 0] + sigma[2, 1] * m[0, 1] * m[2, 1])
+    if e[0, 2] <= DEGENERACY_ENTRY_TOL < min(e[1, 2], e[2, 2]):
+        rows23 = m[1, 0] * m[2, 0] + sigma[1, 1] * sigma[2, 1] * m[1, 1] * m[2, 1]
+        sigma[2, 2] = sigma[1, 2] * neg_sign(rows23)
+    else:
+        sigma[2, 2] = neg_sign(m[0, 0] * m[2, 0] + sigma[2, 1] * m[0, 1] * m[2, 1])
 
-    o = sigma * m
-    if np.max(np.abs(o.T @ o - np.eye(3))) > UNITARITY_ATOL:
-        o = _loewdin_polish(o)
     phi = [0.0 if s > 0 else math.pi for s in (sigma[1, 1], sigma[2, 1], sigma[1, 2], sigma[2, 2])]
-    return ReconstructionResult(Unitary3(o.astype(complex)), *phi, True)
+    # kept real until Unitary3, so any polishing runs in real arithmetic
+    return ReconstructionResult(_witness(sigma * m), *phi, True)

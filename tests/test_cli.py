@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -5,12 +7,16 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import unilab
+from unilab import core
 from unilab.analytic import ABSJ_MAX, cdf_absj, volume_ratio
 from unilab.cli import _ROW_BLOCK, J_OBSERVED, main
 from unilab.core import q_values
@@ -86,12 +92,123 @@ def test_check_input_errors(capsys, tmp_path):
     neither.write_text(json.dumps({"matrix": []}))
     assert main(["check", "--input", str(neither)]) == 2
 
+    # well-formed JSON with the wrong number of b values is a domain error
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"b": [0.3, 0.3, 0.3]}))
+    assert main(["check", "--input", str(short)]) == 1
+    err = capsys.readouterr().err
+    assert "4 values" in err and "(3,)" in err and "reshape" not in err
+
 
 def test_check_invalid_matrix_is_domain_error(capsys, tmp_path):
     path = tmp_path / "rowsum.json"
     path.write_text(json.dumps({"rows": [[0.9, 0, 0], [0, 1, 0], [0, 0, 1]]}))
     assert main(["check", "--input", str(path)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_check_rejects_non_finite_entries(capsys, tmp_path):
+    # a NaN row sum compares False against the tolerance; this once exited 0
+    # and reported "Orthostochastic"
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"rows": [[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, math.nan]]}))
+    assert main(["check", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing check and reconstruct
+
+
+def run_cli_on(command, payload):
+    """Run one subcommand on a JSON payload; returns (exit code, stdout, stderr).
+
+    Captures inside the call rather than through a fixture, so Hypothesis
+    examples do not share captured output.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(payload))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--input", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _polytope_b(simplex, raw):
+    """A point of one simplex of the triangulation, from five raw vertex weights."""
+    verts = np.array([core._VERTEX_B[v] for v in core._SIMPLEX_VERTICES[simplex]], dtype=float)
+    total = sum(raw)
+    weights = np.array(raw) / total if total > 0.0 else np.eye(5)[0]
+    return weights @ verts
+
+
+polytope_points = st.builds(
+    _polytope_b, st.integers(0, 2), st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5)
+)
+_JUNK_CELLS = ["x", "", "1/3", None, {}, [], [0.5], {"v": 0.5}, 10**400]
+_BAD_NUMBERS = [math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def malformed_payloads(draw):
+    """A valid polytope point with exactly one defect that must be rejected."""
+    b = draw(polytope_points).tolist()
+    rows = core.matrix_from_b(np.array(b)).tolist()
+    i, j, k = draw(st.integers(0, 2)), draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(
+        ["non-finite", "junk", "negative", "sums", "shape", "b-non-finite", "b-length",
+         "b-outside", "top-level"]))
+    if kind == "non-finite":
+        rows[i][j] = draw(st.sampled_from(_BAD_NUMBERS))
+    elif kind == "junk":
+        rows[i][j] = draw(st.sampled_from(_JUNK_CELLS))
+    elif kind == "negative":
+        rows[i][j] = -draw(st.floats(1e-9, 10.0))
+    elif kind == "sums":
+        rows[i][j] += draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-9, 0.5))
+    elif kind == "shape":
+        return {"rows": draw(st.sampled_from(
+            [rows[:2], rows + [rows[0]], [rows], sum(rows, []), [r[:2] for r in rows],
+             [r + [0.0] for r in rows], [rows[0][:2]] + rows[1:], 0.5, []]))}
+    elif kind == "b-non-finite":
+        b[k] = draw(st.sampled_from(_BAD_NUMBERS))
+        return {"b": b}
+    elif kind == "b-length":
+        return {"b": draw(st.sampled_from([[], b[:1], b[:3], b + [0.0], b * 2, [b]]))}
+    elif kind == "b-outside":
+        x = draw(st.floats(1e-9, 10.0))
+        b[k] = draw(st.sampled_from([-x, 1.0 + x]))
+        return {"b": b}
+    elif kind == "top-level":
+        return draw(st.sampled_from([[rows], {"rows": rows, "b": b}, {}, "rows", 3]))
+    return {"rows": rows}
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_payloads(), st.sampled_from(["check", "reconstruct"]))
+def test_malformed_input_is_one_error_line(payload, command):
+    code, out, err = run_cli_on(command, payload)
+    assert code in (1, 2), (payload, out)
+    assert out == ""
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@settings(max_examples=60, deadline=None)
+@given(polytope_points, st.booleans())
+def test_every_polytope_point_is_accepted(b, as_rows):
+    payload = {"rows": core.matrix_from_b(b).tolist()} if as_rows else {"b": b.tolist()}
+    code, out, err = run_cli_on("check", payload)
+    assert code == 0 and err == "", err
+    q = json.loads(out)["q"]
+    code, out, err = run_cli_on("reconstruct", payload)
+    if q < -core.Q_CLASS_TOL:
+        assert code == 1 and err.count("\n") == 1 and "not unistochastic" in err
+    else:
+        assert code == 0 and err == "", err
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from unilab.core import (
     q_of,
     q_values,
 )
+from unilab.unitary import NotUnistochasticError, reconstruct
 
 
 def _simplex_point(simplex, raw):
@@ -99,6 +100,12 @@ def test_bvector_rejects_points_outside_polytope():
         BVector(0.9, 0.9, 0.0, 0.0)  # B13 = -0.8
     with pytest.raises(ValueError):
         BVector(0.2, 0.2, 0.2, 0.2)  # B33 = -0.2
+    # builtin min skips a NaN that is not first, so this needs its own check
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            BVector(0.25, bad, 0.25, 0.25)
+    with pytest.raises(ValueError, match="4 values"):
+        BVector.from_array([0.3, 0.3, 0.3])
     BVector(0.25, 0.25, 0.25, 0.25)  # fine
 
 
@@ -107,6 +114,10 @@ def test_matrix_construction_checks_sums_and_signs():
         BistochasticMatrix(np.full((3, 3), 0.5))
     with pytest.raises(ValueError):
         BistochasticMatrix([[1.1, -0.1, 0], [0, 1, 0], [-0.1, 0.1, 1]])
+    # NaN sums compare False against SUM_ATOL, so non-finite entries need their own check
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            BistochasticMatrix([[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, bad]])
     # rounding noise just below zero is clamped
     eps = -1e-14
     m = BistochasticMatrix([[1 - eps, eps, 0], [eps, 1 - eps, 0], [0, 0, 1]])
@@ -147,6 +158,44 @@ def test_named_matrices_are_verbatim():
         core.W.entries,
         (core.P12.entries + core.P13.entries + core.P23.entries) / 3,
     )
+
+
+# ---------------------------------------------------------------------------
+# the one intake of the scalar functions
+
+
+_FORM_CASES = {
+    "W": (1 / 3, 1 / 3, 1 / 3, 1 / 3),
+    "interior": (0.3, 0.4, 0.2, 0.35),
+    "zero-entry": (0.5, 0.5, 0.25, 0.25),  # B13 = 0 and Q = 0
+    "schur": (0.0, 0.5, 0.5, 0.0),  # Q < 0
+}
+
+
+@pytest.mark.parametrize("b", _FORM_CASES.values(), ids=list(_FORM_CASES))
+def test_every_input_form_gives_the_same_result(b):
+    mat = BistochasticMatrix.from_b(b)
+    forms = [mat, BVector(*b), np.array(b), np.array(mat.entries)]
+    for f in (classify, q_of, core.link_lengths, core.entropy,
+              lambda x: core.generalized_entropy(x, 2.0)):
+        first, *rest = [f(x) for x in forms]
+        assert all(r == first for r in rest)
+    if q_of(mat) < 0.0:
+        for x in forms:
+            with pytest.raises(NotUnistochasticError):
+                reconstruct(x)
+        return
+    first, *rest = [reconstruct(x) for x in forms]
+    for r in rest:
+        assert r.unitary.entries.tobytes() == first.unitary.entries.tobytes()
+        assert (r.phases, r.degenerate) == (first.phases, first.degenerate)
+
+
+def test_the_intake_rejects_other_shapes():
+    for bad in ([0.3, 0.3, 0.3], np.ones((2, 3)), np.ones((3, 3, 1)), 0.5):
+        for f in (classify, q_of, core.link_lengths, core.entropy, reconstruct):
+            with pytest.raises(ValueError, match="3x3 matrix or a 4-vector"):
+                f(bad)
 
 
 # ---------------------------------------------------------------------------

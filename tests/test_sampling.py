@@ -30,6 +30,15 @@ def zscore(values, target):
 # streams
 
 
+def test_every_sampler_returns_an_empty_array_for_zero_draws():
+    stream = RngStream(5)
+    assert sample_flat_b3(stream, 0).shape == (0, 4)
+    assert sample_mu_k(stream, 0, 1.5).shape == (0, 4)
+    assert sample_haar_unitary(stream, 0).shape == (0, 3, 3)
+    for spec in (HAAR, MeasureSpec.mu(2.0), FLAT_B3):
+        assert sample_b(spec, stream, 0).shape == (0, 4)
+
+
 def test_streams_are_deterministic_and_addressable():
     a = sample_mu_k(RngStream(75193), 3, 1.5)
     b = sample_mu_k(RngStream(75193), 3, 1.5)

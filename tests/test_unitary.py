@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -165,6 +166,22 @@ def test_reconstruct_flat_orthostochastic_point():
     expected = np.array([[0.5, 0.5, r], [0.5, 0.5, -r], [r, -r, 0.0]])
     np.testing.assert_allclose(res.unitary.entries.real, expected, atol=1e-15)
     assert res.unitary.defect <= 1e-14
+
+
+def test_reconstruct_degenerate_with_a_zero_in_every_position():
+    # |R12(a) R23(c)|^2 has B31 = 0; row and column permutations move the
+    # zero to each of the nine places, B13 = 0 (no help from row 1) included
+    rng = np.random.default_rng(61)
+    for a, c in rng.uniform(0.1, 1.4, (40, 2)):
+        ca, sa, cc, sc = math.cos(a), math.sin(a), math.cos(c), math.sin(c)
+        o = np.array([[ca, -sa * cc, sa * sc], [sa, ca * cc, -ca * sc], [0.0, sc, cc]])
+        for rp in itertools.permutations(range(3)):
+            for cp in itertools.permutations(range(3)):
+                b = (o * o)[np.ix_(rp, cp)]
+                res = reconstruct(b)
+                assert res.degenerate
+                assert res.unitary.defect <= 1e-10
+                np.testing.assert_allclose(np.abs(res.unitary.entries) ** 2, b, atol=1e-10)
 
 
 def generic_feasible_b():
