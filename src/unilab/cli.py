@@ -11,6 +11,7 @@ significant digits, which round-trips float64 exactly.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -225,16 +226,9 @@ def _cmd_sample(args) -> str:
 def _analytic_entries() -> list:
     entries = []
     for k in (1.0, 1.5, 2.0):
-        t = closed_form_table(k)
-        tag = f"[k={k:g}]"
-        entries.extend(
-            [
-                (f"h_k{tag}", t.h_k),
-                (f"volume{tag}", t.volume),
-                (f"mean_entropy{tag}", t.mean_entropy),
-                (f"mean_j2{tag}", t.mean_j2),
-            ]
-        )
+        row = closed_form_table(k)
+        entries.extend((f"{f.name}[k={k:g}]", getattr(row, f.name))
+                       for f in dataclasses.fields(row) if f.name != "k")
     mean_q, mean_q2, sigma_q = b3_q_integrals()
     entries.extend(
         [

@@ -36,9 +36,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -342,14 +343,16 @@ def _entropy_of(entries) -> np.ndarray:
     """-(1/3) sum e ln e over nine entry arrays, with 0 ln 0 := 0.
 
     The scalar functions pass nine one-element rows, so they run the batch
-    arithmetic and give == results.
+    arithmetic and give == results.  Both entropy kernels add 0.0 last,
+    which turns a zero sum's -0.0 into 0.0 and leaves every other value as
+    it is.
     """
     total = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         for e in entries:
             # e ln e is nan at 0 and at rounding noise below it; both count 0
             total = total + np.where(e > 0.0, e * np.log(e), 0.0)
-    return -total / 3.0
+    return -total / 3.0 + 0.0
 
 
 def _generalized_entropy_of(entries, q: float) -> np.ndarray:
@@ -365,7 +368,7 @@ def _generalized_entropy_of(entries, q: float) -> np.ndarray:
             # 0**q is 0 for the purpose of these sums even at q = 0 (the q -> 0
             # entropy counts the support), which differs from numpy's 0.0**0.0 == 1.0
             total = total + (e - np.where(e > 0.0, e**q, 0.0))
-    return total / (3.0 * (q - 1.0))
+    return total / (3.0 * (q - 1.0)) + 0.0
 
 
 def entropy(B) -> float:
@@ -517,27 +520,28 @@ def birkhoff_volume_triangulation() -> float:
 # extreme values of Q
 
 
-def q_product_form(b1: float, s: float, t: float, x: float) -> float:
+def q_product_form(b1, s, t, x):
     """Q in the coordinates b2 = s(1-b1), b3 = t(1-b1), b4 = (1-s)(1-t) + b1 s t + x.
 
-    Q = -(1-b1)^2 (x^2 - 4 b1 s t (1-s)(1-t)), decreasing in x^2, which
-    makes the extreme-value search separable and nearly trivial.
+    Q = -(1-b1)^2 (x^2 - 4 b1 s t (1-s)(1-t)), decreasing in x^2, which makes
+    the extreme-value search separable.  Broadcasts over array arguments.
     """
     return -((1.0 - b1) ** 2) * (x * x - 4.0 * b1 * s * t * (1.0 - s) * (1.0 - t))
 
 
-def x_interval(b1: float, s: float, t: float) -> tuple[float, float]:
-    """Feasibility interval [-min(l1,l2), min(u1,u2)] of the x coordinate."""
+def x_interval(b1, s, t):
+    """Feasibility interval [-min(l1,l2), min(u1,u2)] of the x coordinate, broadcasting."""
     u1 = s * (1.0 - t) + b1 * t * (1.0 - s)
     u2 = t * (1.0 - s) + b1 * s * (1.0 - t)
     l1 = (1.0 - s) * (1.0 - t) + b1 * s * t
     l2 = s * t + b1 * (1.0 - s) * (1.0 - t)
-    return -min(l1, l2), min(u1, u2)
+    return -np.minimum(l1, l2), np.minimum(u1, u2)
 
 
-def b_from_product_coords(b1: float, s: float, t: float, x: float) -> BVector:
+def b_from_product_coords(b1, s, t, x) -> np.ndarray:
+    """b = (b1, s(1-b1), t(1-b1), (1-s)(1-t) + b1 s t + x), shape (..., 4)."""
     b4 = (1.0 - s) * (1.0 - t) + b1 * s * t + x
-    return BVector(b1, s * (1.0 - b1), t * (1.0 - b1), b4)
+    return np.stack(np.broadcast_arrays(b1, s * (1.0 - b1), t * (1.0 - b1), b4), axis=-1)
 
 
 class ExtremeQResult(NamedTuple):
@@ -547,112 +551,61 @@ class ExtremeQResult(NamedTuple):
     max_value: float
 
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: most Q values one step of a scan computes: the default 65^4 grid takes
+#: one b1 node per step, a refinement box all of its b1 nodes at once
+_SCAN_BLOCK = 1 << 19
+#: refinement nodes per axis, in units of the box half-width; the middle
+#: one is 0.0 exactly, so the incumbent is always a node
+_REFINE_OFFSETS = np.linspace(-1.0, 1.0, 9)
 
 
-def _golden_section(f: Callable[[float], float], lo: float, hi: float,
-                    minimize: bool, tol: float = 1e-13) -> tuple[float, float]:
-    """Golden-section scan of f on [lo, hi]; returns (argopt, optvalue)."""
-    sign = 1.0 if minimize else -1.0
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = sign * f(c), sign * f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = sign * f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = sign * f(d)
-    xs = [(a + b) / 2.0, c, d]
-    vals = [sign * f(xs[0]), fc, fd]
-    i = int(np.argmin(vals))
-    return xs[i], sign * vals[i]
+def _scan_q(axes, best: list) -> list:
+    """Update best = [(lowest Q, point), (highest Q, point)] over a grid of (b1, s, t, xi).
 
-
-def _q_of_unit_coords(p: np.ndarray) -> float:
-    b1, s, t, xi = p
-    xlo, xhi = x_interval(b1, s, t)
-    return q_product_form(b1, s, t, xlo + xi * (xhi - xlo))
-
-
-def _refine(p0: np.ndarray, v0: float, minimize: bool, span: float, tol: float) -> tuple[np.ndarray, float]:
-    """Cyclic per-coordinate golden-section refinement, strict improvements only."""
-    p, best = p0.copy(), v0
-    for _ in range(60):
-        improved = 0.0
-        for i in range(4):
-            lo = max(0.0, p[i] - span)
-            hi = min(1.0, p[i] + span)
-
-            def along(c: float, i: int = i) -> float:
-                trial = p.copy()
-                trial[i] = c
-                return _q_of_unit_coords(trial)
-
-            c, v = _golden_section(along, lo, hi, minimize)
-            gain = (best - v) if minimize else (v - best)
-            if gain > 0.0:
-                p[i] = c
-                best = v
-                improved = max(improved, gain)
-        if improved < tol / 10.0:
-            break
-    return p, best
+    axes holds four ascending node arrays; xi in [0, 1] sweeps the feasible
+    x interval.  Points are visited in ascending C order and replace an
+    incumbent only on strict improvement, so ties go to the incumbent, then
+    to the first point visited.
+    """
+    b1_nodes, s_nodes, t_nodes, xi_nodes = axes
+    step = max(1, _SCAN_BLOCK // (len(s_nodes) * len(t_nodes) * len(xi_nodes)))
+    for lo in range(0, len(b1_nodes), step):
+        b1, s, t, xi = grid = np.ix_(b1_nodes[lo:lo + step], s_nodes, t_nodes, xi_nodes)
+        xlo, xhi = x_interval(b1, s, t)
+        x = xlo + xi * (xhi - xlo)
+        qv = q_product_form(b1, s, t, x)
+        for side, i, better in ((0, qv.argmin(), operator.lt), (1, qv.argmax(), operator.gt)):
+            if better(qv.flat[i], best[side][0]):
+                idx = np.unravel_index(i, qv.shape)
+                best[side] = (float(qv.flat[i]), tuple(float(a.flat[j]) for a, j in zip(grid, idx)))
+    return best
 
 
 def extreme_q_search(grid_resolution: int = 64, refine_tolerance: float = 1e-9) -> ExtremeQResult:
     """Locate the minimum and maximum of Q over the whole polytope.
 
-    Scans a regular grid in the product coordinates (b1, s, t, xi), where xi
-    in [0, 1] sweeps the feasible x interval, then polishes each extremum
-    with per-coordinate golden-section refinement.  The scan iterates in
-    ascending coordinate order and only accepts strict improvements, so ties
-    resolve to the first point encountered; the Q minimum lands on the Schur
-    vector (0, 1/2, 1/2, 0) and the maximum on the flat matrix.
+    One scan of a regular grid in the product coordinates (b1, s, t, xi),
+    where xi in [0, 1] sweeps the feasible x interval, finds both extremes.
+    Each is then rescanned on a box of 9 nodes per axis centred on it, the
+    box halving each pass until its half-width is below refine_tolerance.
+    Scans only accept strict improvements in ascending coordinate order, so
+    ties resolve to the first point encountered and a centre moves only for
+    a strictly better Q: the minimum lands exactly on the Schur vector
+    (0, 1/2, 1/2, 0), the maximum on the flat matrix.
     """
     if grid_resolution < 8:
         raise ValueError("grid_resolution must be at least 8")
     nodes = np.linspace(0.0, 1.0, grid_resolution + 1)
-    s_grid, t_grid = np.meshgrid(nodes, nodes, indexing="ij")
-
-    best_min = math.inf
-    best_max = -math.inf
-    argmin = argmax = None
-    for b1 in nodes:
-        u1 = s_grid * (1.0 - t_grid) + b1 * t_grid * (1.0 - s_grid)
-        u2 = t_grid * (1.0 - s_grid) + b1 * s_grid * (1.0 - t_grid)
-        l1 = (1.0 - s_grid) * (1.0 - t_grid) + b1 * s_grid * t_grid
-        l2 = s_grid * t_grid + b1 * (1.0 - s_grid) * (1.0 - t_grid)
-        xlo = -np.minimum(l1, l2)
-        xhi = np.minimum(u1, u2)
-        prod = 4.0 * b1 * s_grid * t_grid * (1.0 - s_grid) * (1.0 - t_grid)
-        # shape (s, t, xi); C-order argmin matches the ascending scan order
-        x = xlo[..., None] + nodes[None, None, :] * (xhi - xlo)[..., None]
-        qv = -((1.0 - b1) ** 2) * (x * x - prod[..., None])
-        i_min = int(np.argmin(qv))
-        i_max = int(np.argmax(qv))
-        v_min = float(qv.flat[i_min])
-        v_max = float(qv.flat[i_max])
-        if v_min < best_min:
-            si, ti, xii = np.unravel_index(i_min, qv.shape)
-            best_min = v_min
-            argmin = np.array([b1, nodes[si], nodes[ti], nodes[xii]])
-        if v_max > best_max:
-            si, ti, xii = np.unravel_index(i_max, qv.shape)
-            best_max = v_max
-            argmax = np.array([b1, nodes[si], nodes[ti], nodes[xii]])
-
-    span = 2.0 / grid_resolution
-    pmin, vmin = _refine(argmin, best_min, True, span, refine_tolerance)
-    pmax, vmax = _refine(argmax, best_max, False, span, refine_tolerance)
-
-    def to_b(p: np.ndarray) -> BVector:
-        b1, s, t, xi = p
+    best = _scan_q((nodes,) * 4, [(math.inf, None), (-math.inf, None)])
+    for side in (0, 1):
+        half = 2.0 / grid_resolution
+        while half >= refine_tolerance:
+            box = [np.clip(c + half * _REFINE_OFFSETS, 0.0, 1.0) for c in best[side][1]]
+            best[side] = _scan_q(box, list(best))[side]
+            half /= 2.0
+    found = []
+    for value, (b1, s, t, xi) in best:
         xlo, xhi = x_interval(b1, s, t)
-        return b_from_product_coords(b1, s, t, xlo + xi * (xhi - xlo))
-
-    return ExtremeQResult(to_b(pmin), vmin, to_b(pmax), vmax)
+        b = b_from_product_coords(b1, s, t, xlo + xi * (xhi - xlo))
+        found += [BVector(*b.tolist()), value]
+    return ExtremeQResult(*found)

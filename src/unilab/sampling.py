@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .analytic import check_k
-from .core import _SIMPLEX_VERTICES, _VERTEX_B, feasible_b_mask
+from .core import _SIMPLEX_VERTICES, _VERTEX_B, b_from_product_coords, feasible_b_mask
 
 __all__ = [
     "DEFAULT_SEED",
@@ -176,12 +176,9 @@ def sample_mu_k(stream, n: int, k: float) -> np.ndarray:
     s = g.beta(k, k, size=n)
     t = g.beta(k, k, size=n)
     r = 2.0 * g.beta(k - 0.5, k - 0.5, size=n) - 1.0
-    b2 = s * (1.0 - b1)
-    b3 = t * (1.0 - b1)
-    b4 = (1.0 - s) * (1.0 - t) + b1 * s * t + 2.0 * r * np.sqrt(
-        b1 * s * t * (1.0 - s) * (1.0 - t)
-    )
-    return np.stack([b1, b2, b3, np.clip(b4, 0.0, 1.0)], axis=1)
+    b = b_from_product_coords(b1, s, t, 2.0 * r * np.sqrt(b1 * s * t * (1.0 - s) * (1.0 - t)))
+    b[:, 3] = np.clip(b[:, 3], 0.0, 1.0)
+    return b
 
 
 #: rows of uniforms drawn per block, which keeps memory flat in n

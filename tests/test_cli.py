@@ -128,12 +128,23 @@ def run_cli_on(command, payload):
     Captures inside the call rather than through a fixture, so Hypothesis
     examples do not share captured output.
     """
-    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.json"
         path.write_text(json.dumps(payload))
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "--input", str(path)])
+        return run_captured([command, "--input", str(path)])
+
+
+def run_captured(argv):
+    """main(argv) with its own stdout and stderr; returns (exit code, stdout, stderr).
+
+    A usage error that argparse reports by SystemExit counts as its exit code.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -354,6 +365,9 @@ def test_sample_usage_errors(capsys):
 
 def test_analytic_table_json(capsys):
     table = json.loads(run_ok(capsys, ["analytic", "--table"]))
+    # the per-k rows are the ClosedFormTable fields but k, in declaration order
+    assert list(table)[:12] == [f"{name}[k={k}]" for k in ("1", "1.5", "2")
+                                for name in ("h_k", "volume", "mean_entropy", "mean_j2")]
     assert table["h_k[k=1.5]"] == pytest.approx(math.pi**2 / 105, rel=1e-14)
     assert table["volume_ratio"] == pytest.approx(8 * math.pi**2 / 105, rel=1e-14)
     assert table["gram_determinant"] == 81
@@ -503,6 +517,63 @@ def test_estimate_usage_errors(capsys):
 
 
 # ---------------------------------------------------------------------------
+# fuzzing dist and estimate
+
+
+_TEXT = st.text(max_size=8)
+_K_VALUES = st.floats(min_value=0.5, exclude_min=True, allow_infinity=False).map(repr)
+_K_JUNK = st.one_of(st.sampled_from(["nan", "inf", "-inf", "0.5", "1e400", "0"]),
+                    st.floats().map(repr), _TEXT)
+_MEASURE_ARG = st.one_of(st.sampled_from(["haar", "flat-b3"]), _K_VALUES.map("mu:{}".format))
+_ARGS = {  # flag: (its values, mostly valid; values that are mostly not)
+    "--measure": (_MEASURE_ARG, st.one_of(_K_JUNK.map("mu:{}".format), _TEXT)),
+    "--format": (st.sampled_from(["csv", "json"]), _TEXT),
+    "--what": (st.sampled_from(["pdf", "cdf"]), _TEXT),
+    "--points": (st.integers(2, 200).map(str), st.one_of(st.integers(-5, 1).map(str), _TEXT)),
+    "--target": (st.sampled_from(["volume-ratio", "entropy", "j2", "prob-jobs"]), _TEXT),
+    "--y": (st.floats(0.0, ABSJ_MAX, exclude_min=True).map(repr),
+            st.one_of(st.floats().map(repr), _TEXT)),
+    "--seed": (st.integers(0, 2**70).map(str), st.one_of(st.integers(-3, -1).map(str), _TEXT)),
+    "--threads": (st.integers(1, 4).map(str), st.one_of(st.integers(-1, 0).map(str), _TEXT)),
+    "--n": (st.integers(100, 10**4).map(str), st.one_of(st.integers(-5, 99).map(str), _TEXT)),
+}
+_COMMAND_ARGS = {
+    "dist": ("--measure", "--what", "--points", "--format"),
+    "estimate": ("--target", "--measure", "--n", "--seed", "--threads", "--y", "--format"),
+}
+
+
+@st.composite
+def dist_and_estimate_argv(draw):
+    """An argv for dist or estimate with drawn values and at most one defect.
+
+    The defect drops a flag or gives it a value from its second strategy.
+    --n stays at most 1e4 and --points at most 200, so every example is small.
+    """
+    command = draw(st.sampled_from(sorted(_COMMAND_ARGS)))
+    defect = draw(st.sampled_from((None,) + _COMMAND_ARGS[command]))
+    argv = [command]
+    for flag in _COMMAND_ARGS[command]:
+        values, junk = _ARGS[flag]
+        if flag == defect:
+            if draw(st.booleans()):
+                argv += [flag, draw(junk)]
+        elif flag in ("--measure", "--what", "--target", "--format") or draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(dist_and_estimate_argv())
+def test_dist_and_estimate_exit_cleanly(argv):
+    code, out, err = run_captured(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code != 0:
+        assert out == "", argv
+    assert "Traceback" not in err, (argv, err)
+
+
+# ---------------------------------------------------------------------------
 # plumbing
 
 
@@ -550,6 +621,21 @@ def console_script_argv():
     assert target == "unilab.cli:main"
     module, attr = target.split(":")
     return [sys.executable, "-c", f"import sys; from {module} import {attr}; sys.exit({attr}())"]
+
+
+def test_python_dash_m_unilab_is_the_cli():
+    src = str(Path(unilab.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    # a run that succeeds, and one whose exit code 2 main() returns rather than raises
+    for argv, code in ((["sample", "--measure", "mu:2", "--n", "3", "--seed", "5"], 0),
+                       (["analytic"], 2)):
+        runs = [subprocess.run([sys.executable, "-m", module] + argv, capture_output=True,
+                               text=True, timeout=120, env=env)
+                for module in ("unilab", "unilab.cli")]
+        assert runs[0].returncode == runs[1].returncode == code, runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout
+        assert (runs[0].stdout == "") == (code != 0)
 
 
 def test_console_script_entry_point(tmp_path):

@@ -340,6 +340,14 @@ def test_entropy_kernels_match_stacked_formula_and_scalar():
             scalar = [core.generalized_entropy(m, q) for m in matrices]
         np.testing.assert_allclose(vals, _stacked_entropy(pts, q), rtol=0, atol=1e-15)
         np.testing.assert_array_equal(vals, scalar)
+    # a permutation has entropy +0.0, never -0.0, in both kernels and for every q
+    perms = (core.IDENTITY, core.P, core.P2, core.P12, core.P13, core.P23)
+    perm_b = np.array([m.bvec.as_tuple() for m in perms])
+    for q in (0.0, 0.5, 1.0, 2.0, 3.0):
+        batch = core.entropy_values(perm_b) if q == 1.0 else core.generalized_entropy_values(perm_b, q)
+        scalar = [core.entropy(m) if q == 1.0 else core.generalized_entropy(m, q) for m in perms]
+        for v in [*batch.tolist(), *scalar]:
+            assert v == 0.0 and math.copysign(1.0, v) == 1.0, (q, v)
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +408,21 @@ def test_ball_around_w_is_unistochastic():
 
 def test_product_coordinates_reproduce_q():
     rng = np.random.default_rng(41)
+    draws, scalar = [], []
     for _ in range(200):
         b1, s, t = rng.random(3)
         xlo, xhi = core.x_interval(b1, s, t)
         x = rng.uniform(xlo, xhi)
         b = core.b_from_product_coords(b1, s, t, x)
-        assert math.isclose(
-            core.q_product_form(b1, s, t, x), q_of(b), rel_tol=1e-12, abs_tol=1e-14
-        )
+        q = core.q_product_form(b1, s, t, x)
+        assert math.isclose(q, q_of(b), rel_tol=1e-12, abs_tol=1e-14)
+        draws.append((b1, s, t, x))
+        scalar.append((xlo, xhi, *b, q))
+    # one array call per kernel gives the scalar results exactly
+    b1, s, t, x = np.array(draws).T
+    batch = np.column_stack([*core.x_interval(b1, s, t), core.b_from_product_coords(b1, s, t, x),
+                             core.q_product_form(b1, s, t, x)])
+    np.testing.assert_array_equal(batch, np.array(scalar))
 
 
 def test_product_coordinate_edge_point():
@@ -416,7 +431,7 @@ def test_product_coordinate_edge_point():
     xlo, xhi = core.x_interval(0.5, 0.0, 0.0)
     assert xlo == -0.5
     assert core.q_product_form(0.5, 0.0, 0.0, xlo) == -1.0 / 16.0
-    assert core.b_from_product_coords(0.5, 0.0, 0.0, xlo).as_tuple() == (
+    assert tuple(core.b_from_product_coords(0.5, 0.0, 0.0, xlo).tolist()) == (
         0.5,
         0.0,
         0.0,
@@ -426,6 +441,7 @@ def test_product_coordinate_edge_point():
 
 def test_extreme_q_search_finds_both_extremes():
     res = core.extreme_q_search(grid_resolution=64, refine_tolerance=1e-9)
+    assert type(res.min_value) is float and type(res.max_value) is float
     assert abs(res.min_value - (-1.0 / 16.0)) <= 1e-9
     assert abs(res.max_value - 1.0 / 27.0) <= 1e-9
     assert res.min_point.as_tuple() == (0.0, 0.5, 0.5, 0.0)

@@ -207,7 +207,7 @@ def test_reconstruct_round_trip_and_sign_conventions(b):
     assert not res.degenerate
     u = res.unitary.entries
     back = to_bistochastic(res.unitary).entries
-    np.testing.assert_allclose(back, core.matrix_from_b(b.as_array()), atol=1e-13)
+    np.testing.assert_allclose(back, core.matrix_from_b(b), atol=1e-13)
     # fixed half-plane for each phase
     assert u[1, 1].imag > 0 and u[2, 1].imag < 0
     assert u[1, 2].imag < 0 and u[2, 2].imag > 0
