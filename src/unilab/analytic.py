@@ -23,6 +23,11 @@ Throughout, a_n denotes the squared-normalized hypergeometric coefficients
 
 and A_n = 2 psi(n+1) - psi(n+1/3) - psi(n+2/3), which telescopes to
 3 ln 3 - sum_{j=n+1}^{3n} 3/j and decays to zero.
+
+The gamma family needs no library beyond the standard one: ln Gamma is
+math.lgamma, and psi and psi' are two float kernels, _psi and _trigamma,
+that lift the argument to 10 or more by recurrence and then sum the
+Bernoulli asymptotic series.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln as _gammaln, polygamma as _polygamma, psi as _psi
 
 __all__ = [
     "SeriesEvaluation",
@@ -116,14 +120,72 @@ def check_k(k) -> float:
     return float(k)
 
 
+#: B_2, B_4, ..., B_16: the Bernoulli numbers of the psi and psi' series
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+_PSI_COEFFS = tuple(b / (2 * m) for m, b in enumerate(_BERNOULLI, 1))
+#: both series are summed at arguments at or above this, reached by recurrence
+_SERIES_FROM = 10.0
+
+
+def _lgamma(x: float) -> float:
+    """ln Gamma(x) for x > 0; math.inf where it overflows a float (x above about 2.5e305)."""
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
+
+
+def _psi(x: float) -> float:
+    """psi(x) for x > 0 (Abramowitz & Stegun 6.3.5 and 6.3.18; DLMF 5.11.2).
+
+    The recurrence psi(x) = psi(x+1) - 1/x lifts x to y >= 10, where
+
+        psi(y) = ln y - 1/(2y) - sum_{m=1}^{8} B_2m / (2m y^2m).
+
+    For real y > 0 the truncation error is smaller than the first omitted
+    term, |B_18| / (18 y^18) < 3.1e-18 at y >= 10.
+    """
+    shift = 0.0
+    while x < _SERIES_FROM:
+        shift += 1.0 / x
+        x += 1.0
+    t = 1.0 / (x * x)
+    series = 0.0
+    for c in reversed(_PSI_COEFFS):
+        series = series * t + c
+    return math.log(x) - 0.5 / x - t * series - shift
+
+
+def _trigamma(x: float) -> float:
+    """psi'(x) for x > 0 (Abramowitz & Stegun 6.4.6 and 6.4.12; DLMF 5.15.8).
+
+    The recurrence psi'(x) = psi'(x+1) + 1/x^2 lifts x to y >= 10, where
+
+        psi'(y) = 1/y + 1/(2y^2) + sum_{m=1}^{8} B_2m / y^(2m+1).
+
+    For real y > 0 the truncation error is smaller than the first omitted
+    term, |B_18| / y^19 < 5.5e-18 at y >= 10, under 6e-17 of psi'(y) > 1/y.
+    """
+    shift = 0.0
+    while x < _SERIES_FROM:
+        r = 1.0 / x  # not 1/(x x), which underflows to a division by zero
+        shift += r * r
+        x += 1.0
+    t = 1.0 / (x * x)
+    series = 0.0
+    for b in reversed(_BERNOULLI):
+        series = series * t + b
+    return (1.0 + 0.5 / x + t * series) / x + shift
+
+
 def digamma(x: float) -> float:
     """psi(x) = d/dx ln Gamma(x) for x > 0."""
-    return float(_psi(_require_positive(x, "x")))
+    return _psi(_require_positive(x, "x"))
 
 
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    return float(_gammaln(_require_positive(x, "x")))
+    """ln Gamma(x) for x > 0; math.inf where that overflows a float."""
+    return _lgamma(_require_positive(x, "x"))
 
 
 def pochhammer(x: float, n: int) -> float:
@@ -309,7 +371,7 @@ def gauss_2f1_onethird(z: float, tol: float = 1e-14) -> SeriesEvaluation:
 
 
 def _ln_h(k: float) -> float:
-    return math.log(math.pi) + 3.0 * float(_gammaln(k)) - math.log(2.0 * k - 1.0) - float(_gammaln(3.0 * k))
+    return math.log(math.pi) + 3.0 * _lgamma(k) - math.log(2.0 * k - 1.0) - _lgamma(3.0 * k)
 
 
 def h_k(k: float) -> float:
@@ -351,7 +413,7 @@ def mean_entropy_mu(k: float) -> float:
     5/6 at k = 1, 286/315 at k = 3/2, 19/20 at k = 2.
     """
     k = check_k(k)
-    return float(_psi(3.0 * k + 1.0) - _psi(k + 1.0))
+    return _psi(3.0 * k + 1.0) - _psi(k + 1.0)
 
 
 def mean_generalized_entropy_mu(k: float, q: float) -> float:
@@ -365,15 +427,15 @@ def mean_generalized_entropy_mu(k: float, q: float) -> float:
     if q < 0.0:
         raise ValueError(f"generalized entropy order must satisfy q >= 0, got {q}")
     if abs(q - 1.0) < 1e-6:
-        a = float(_psi(k + 1.0) - _psi(3.0 * k + 1.0))  # G'(1)
-        b = float(_polygamma(1, k + 1.0) - _polygamma(1, 3.0 * k + 1.0))  # G''(1)
+        a = _psi(k + 1.0) - _psi(3.0 * k + 1.0)  # G'(1)
+        b = _trigamma(k + 1.0) - _trigamma(3.0 * k + 1.0)  # G''(1)
         return -a - 0.5 * (b + a * a) * (q - 1.0)
     g = (
         math.log(3.0)
-        + float(_gammaln(k + q))
-        - float(_gammaln(k))
-        + float(_gammaln(3.0 * k))
-        - float(_gammaln(3.0 * k + q))
+        + _lgamma(k + q)
+        - _lgamma(k)
+        + _lgamma(3.0 * k)
+        - _lgamma(3.0 * k + q)
     )
     return -math.expm1(g) / (q - 1.0)
 
@@ -400,6 +462,8 @@ def b3_integral(f: Callable[[float, float], float], tol: float = 1e-12) -> Serie
 
     Unnormalized: f = 1 integrates to 1/8.  Raises if the quadrature cannot
     certify the requested absolute tolerance, quoting the achieved bound.
+    The only function here that needs scipy (the test extra); without it
+    the call raises ImportError.
     """
     # scipy's quadrature takes about a third of a second to import, so only
     # the callers of this function pay for it
@@ -459,7 +523,7 @@ _VEC_TERMS_NEAR1 = 220
 
 @lru_cache(maxsize=32)
 def _c_k(k: float) -> float:
-    return math.exp(float(_gammaln(k + 1.0 / 3.0) + _gammaln(k + 2.0 / 3.0) - 2.0 * _gammaln(k)))
+    return math.exp(_lgamma(k + 1.0 / 3.0) + _lgamma(k + 2.0 / 3.0) - 2.0 * _lgamma(k))
 
 
 def _x_from_y(y: float) -> float:

@@ -13,6 +13,7 @@ significant digits, which round-trips float64 exactly.
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -61,6 +62,12 @@ class UsageError(Exception):
 
 def _g(x) -> str:
     return f"{float(x):.17g}"
+
+
+def _require_finite(what: str, value) -> None:
+    """Refuse to print NaN or an infinity: neither is a result, nor valid JSON."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{what} is {value}, not a finite number")
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +274,8 @@ def _cmd_dist(args) -> str:
     rows = []
     for y in grid:
         ev = evaluate(k, float(y))
+        _require_finite(f"the {args.what} at y = {y:.17g}", ev.value)
+        _require_finite(f"the error bound at y = {y:.17g}", ev.error_bound)
         rows.append((float(y), ev.value, ev.error_bound, ev.method))
     if args.format == "json":
         payload = [
@@ -291,10 +300,12 @@ def _cmd_estimate(args) -> str:
     else:
         stat = Statistic.indicator_absj_leq(args.y)
     result = estimate_mean(args.measure, stat, args.n, seed=args.seed, threads=args.threads)
+    d = result.as_dict()
+    for name, value in d.items():
+        _require_finite(f"the {name}", value)
     if args.seed == 0:
         print(f"seed: {result.seed}", file=sys.stderr)
     if args.format == "csv":
-        d = result.as_dict()
         cells = ["" if v is None else _g(v) if isinstance(v, float) else str(v)
                  for v in d.values()]
         return ",".join(d) + "\n" + ",".join(cells) + "\n"

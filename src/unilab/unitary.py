@@ -252,15 +252,20 @@ def reconstruct(b) -> ReconstructionResult:
     |Q| <= Q_CLASS_TOL): the triangles are flat, the preimage can be taken
     real orthogonal, and the phases are 0 or pi.  The sign pattern comes
     from the tight link inequality on column pair (1,2) and orthogonality
-    of the first two rows.
+    of the first two rows.  When no entry vanishes and that real matrix is
+    not unitary within UNITARITY_ATOL, the small |Q| comes from small
+    entries, not from flat triangles, and the generic case runs instead.
     """
     mat = _as_matrix(b)
     b1, b2, b13, b3, b4, b23, b31, b32, b33 = e = mat.entries.ravel().tolist()
     q = _q_poly(b1, b2, b3, b4)
     if q < -Q_CLASS_TOL:
         raise NotUnistochasticError(q)
-    if min(e) <= DEGENERACY_ENTRY_TOL or q <= Q_CLASS_TOL:
-        return _reconstruct_degenerate(mat)
+    zero_entry = min(e) <= DEGENERACY_ENTRY_TOL
+    if zero_entry or q <= Q_CLASS_TOL:
+        result = _reconstruct_degenerate(mat, zero_entry)
+        if result is not None:
+            return result
 
     # column pair (1, 2): links sqrt(b1 b2), sqrt(b3 b4), sqrt(b31 b32)
     phi22 = _acos_clipped((b31 * b32 - b1 * b2 - b3 * b4) / (2.0 * math.sqrt(b1 * b2 * b3 * b4)))
@@ -276,7 +281,15 @@ def reconstruct(b) -> ReconstructionResult:
     return ReconstructionResult(_witness(u), phi22, phi32, phi23, phi33, False)
 
 
-def _reconstruct_degenerate(mat: BistochasticMatrix) -> ReconstructionResult:
+def _reconstruct_degenerate(mat: BistochasticMatrix,
+                            zero_entry: bool) -> ReconstructionResult | None:
+    """The real witness of the sign rule, or None when it is not one.
+
+    A tiny |Q| without a vanishing entry need not mean flat triangles: with
+    entries of order eps, Q is of order eps^2 whatever the phases, and the
+    links may not close tightly.  The sign rule then fails by far more than
+    UNITARITY_ATOL, and the generic formulas apply.
+    """
     e = mat.entries
     m = np.sqrt(e)
     links = link_lengths(mat)
@@ -298,6 +311,9 @@ def _reconstruct_degenerate(mat: BistochasticMatrix) -> ReconstructionResult:
     else:
         sigma[2, 2] = neg_sign(m[0, 0] * m[2, 0] + sigma[2, 1] * m[0, 1] * m[2, 1])
 
-    phi = [0.0 if s > 0 else math.pi for s in (sigma[1, 1], sigma[2, 1], sigma[1, 2], sigma[2, 2])]
     # kept real until Unitary3, so any polishing runs in real arithmetic
-    return ReconstructionResult(_witness(sigma * m), *phi, True)
+    u = sigma * m
+    if not zero_entry and _defect(u) > UNITARITY_ATOL:
+        return None
+    phi = [0.0 if s > 0 else math.pi for s in (sigma[1, 1], sigma[2, 1], sigma[1, 2], sigma[2, 2])]
+    return ReconstructionResult(_witness(u), *phi, True)

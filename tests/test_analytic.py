@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 from scipy.special import hyp2f1
 
@@ -43,6 +44,47 @@ def test_digamma_log_gamma_pochhammer_values():
     assert pochhammer(3.0, 4) == 360.0
     assert pochhammer(0.5, 2) == 0.75
     assert pochhammer(7.3, 0) == 1.0
+
+
+def gamma_family_points():
+    """20,000 log-uniform points on [1e-6, 1e6], a grid on [0.5, 60] and the zeros.
+
+    The zeros are psi's at 1.4616... and ln Gamma's at 1 and 2, where only
+    an absolute error can be asked for.
+    """
+    rng = np.random.default_rng(8)
+    near = np.linspace(-1e-3, 1e-3, 201)
+    return np.concatenate([
+        np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 20_000)),
+        np.linspace(0.5, 60.0, 1_000),
+        1.4616321449683623 + near, 1.0 + near, 2.0 + near,
+    ])
+
+
+@pytest.mark.parametrize("ours, scipys", [
+    (digamma, special.psi),
+    (an._trigamma, lambda x: special.polygamma(1, x)),
+    (log_gamma, special.gammaln),
+], ids=["psi", "trigamma", "log_gamma"])
+def test_gamma_family_matches_scipy(ours, scipys):
+    xs = gamma_family_points()
+    got = np.array([ours(x) for x in xs.tolist()])
+    want = scipys(xs)
+    err = np.abs(got - want)
+    large = np.abs(want) >= 1.0
+    assert np.all(err[large] <= 1e-14 * np.abs(want[large])), xs[large][np.argmax(err[large])]
+    assert np.all(err[~large] <= 1e-14), xs[~large][np.argmax(err[~large])]
+
+
+def test_gamma_family_at_the_ends_of_the_floats():
+    # math.lgamma raises OverflowError from about 2.5e305; the value is inf
+    assert log_gamma(1e308) == math.inf
+    assert log_gamma(2.5e305) == pytest.approx(2.5e305 * (math.log(2.5e305) - 1), rel=1e-12)
+    assert digamma(1e308) == pytest.approx(math.log(1e308), rel=1e-15)
+    assert digamma(1e-300) == pytest.approx(-1e300, rel=1e-15)
+    # 1/x^2 overflows before x^2 underflows to a division by zero
+    assert an._trigamma(1e-200) == math.inf
+    assert an._trigamma(1e308) == pytest.approx(1e-308, rel=1e-15)
 
 
 def test_gamma_primitives_reject_bad_domains():

@@ -563,6 +563,26 @@ def dist_and_estimate_argv(draw):
     return argv
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def assert_only_finite_numbers(argv, out):
+    """Output of a successful dist or estimate run holds no NaN or infinity."""
+    default = "csv" if argv[0] == "dist" else "json"
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else default
+    if fmt == "json":
+        json.loads(out, parse_constant=_reject_constant)
+        return
+    for line in out.splitlines():
+        for cell in line.split(","):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue  # a header, a method tag or an absent reference
+            assert math.isfinite(value), (argv, line)
+
+
 @settings(max_examples=200, deadline=None)
 @given(dist_and_estimate_argv())
 def test_dist_and_estimate_exit_cleanly(argv):
@@ -570,7 +590,26 @@ def test_dist_and_estimate_exit_cleanly(argv):
     assert code in (0, 1, 2), (argv, code)
     if code != 0:
         assert out == "", argv
+    else:
+        assert_only_finite_numbers(argv, out)
     assert "Traceback" not in err, (argv, err)
+
+
+@pytest.mark.parametrize("argv", [
+    # the mu_k closed forms overflow: NaN reference
+    ["estimate", "--target", "prob-jobs", "--measure", "mu:1e308", "--n", "1000", "--seed", "3"],
+    ["estimate", "--target", "j2", "--measure", "mu:1e308", "--n", "1000", "--format", "csv"],
+    # every sample under the threshold, zero spread: infinite z-score
+    # (with --seed 0 the seed line is not printed either: stderr stays one line)
+    ["estimate", "--target", "prob-jobs", "--measure", "mu:0.5000000001", "--n", "1000",
+     "--seed", "0"],
+    ["dist", "--measure", "mu:1e6", "--what", "cdf"],
+    ["dist", "--measure", "mu:1e306", "--what", "pdf", "--format", "json"],
+])
+def test_non_finite_results_are_errors(argv):
+    code, out, err = run_captured(argv)
+    assert (code, out) == (1, ""), argv
+    assert len(err.strip().splitlines()) == 1 and "not a finite number" in err, err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -34,16 +35,55 @@ def test_names_the_benchmark_reads_are_exported():
     assert [name for name in sorted(used) if not hasattr(unilab, name)] == []
 
 
-def test_import_leaves_scipy_quadrature_unloaded():
-    # scipy.integrate is imported by b3_integral on first use, not by the package
+def run_child(code, *args):
+    """Run ``python -c code args...`` with this checkout's sources first on the path."""
     src = str(Path(unilab.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=pythonpath)
-    code = "import sys, unilab, unilab.cli; print('scipy.integrate' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                           timeout=120, env=env)
+
+
+def test_import_leaves_scipy_quadrature_unloaded():
+    # the package needs only numpy; b3_integral imports scipy.integrate on first use
+    proc = run_child("import sys, unilab, unilab.cli\n"
+                     "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+_WITHOUT_SCIPY = """
+import json, sys
+from pathlib import Path
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
+from unilab import analytic
+from unilab.cli import main
+d = Path(sys.argv[1])
+(d / "w.json").write_text(json.dumps({"b": [1 / 3] * 4}))
+runs = [
+    ["check", "--input", str(d / "w.json")],
+    ["reconstruct", "--input", str(d / "w.json")],
+    ["analytic", "--table"],
+    ["dist", "--measure", "mu:1.5", "--what", "cdf"],
+    ["estimate", "--target", "entropy", "--measure", "mu:1.5", "--n", "1000"],
+    ["sample", "--measure", "haar", "--n", "10"],
+]
+codes = [main(argv + ["--output", str(d / "out")]) for argv in runs]
+try:
+    analytic.b3_integral(lambda b1, b2: 1.0)
+    error = None
+except ImportError as exc:
+    error = str(exc)
+print(json.dumps({"codes": codes, "error": error}))
+"""
+
+
+def test_the_cli_runs_without_scipy(tmp_path):
+    proc = run_child(_WITHOUT_SCIPY, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["codes"] == [0] * 6, proc.stderr
+    assert report["error"] is not None and "scipy" in report["error"]
 
 
 def test_functions_the_tracer_wraps_exist():

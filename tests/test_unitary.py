@@ -184,6 +184,19 @@ def test_reconstruct_degenerate_with_a_zero_in_every_position():
                 np.testing.assert_allclose(np.abs(res.unitary.entries) ** 2, b, atol=1e-10)
 
 
+@pytest.mark.parametrize("b", [(1 - 2 * eps, eps, eps, 0.5 - eps) for eps in (5e-11, 1e-9, 1e-7, 1e-6)]
+                         + [(1 - eps, eps / 2, eps / 2, 0.3) for eps in (1e-10, 1e-8, 1e-6)])
+def test_reconstruct_near_block_diagonal_orthostochastic(b):
+    # |Q| <= Q_CLASS_TOL only because entries of order eps are small: the
+    # links do not close tightly, so the real sign rule has no witness here
+    assert core.classify(b).classification is core.MatrixClass.ORTHOSTOCHASTIC
+    res = reconstruct(b)
+    assert res.unitary.defect <= 1e-10
+    np.testing.assert_allclose(np.abs(res.unitary.entries) ** 2, core.matrix_from_b(b),
+                               rtol=0, atol=1e-10)
+    assert jarlskog(res.unitary) ** 2 == pytest.approx(core.q_of(b) / 4, abs=1e-12)
+
+
 def generic_feasible_b():
     # product coordinates with x kept strictly inside the Q > 0 window, so
     # nearly every draw is interior unistochastic
