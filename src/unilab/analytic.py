@@ -14,8 +14,7 @@ Every such series has the shape
 with L a logarithm of the argument (zero for the plain series).  Each
 series is one cached coefficient table (p, r), keyed by k where it depends
 on k, and one engine, _sum_series, adds the terms up on Python floats and
-stops at the first term below tol/10 after scaling.  The vectorized CDF
-reads the same tables by Horner's rule.
+stops at the first term below tol/10 after scaling.
 
 Throughout, a_n denotes the squared-normalized hypergeometric coefficients
 
@@ -35,32 +34,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
-
-import numpy as np
 
 __all__ = [
     "SeriesEvaluation",
     "ClosedFormTable",
     "check_k",
-    "digamma",
-    "log_gamma",
+    "check_q",
     "pochhammer",
-    "gauss_2f1_onethird",
     "h_k",
     "volume_ratio",
     "closed_form_table",
     "mean_entropy_mu",
     "mean_generalized_entropy_mu",
     "mean_generalized_entropy_b3",
-    "b3_integral",
     "b3_q_integrals",
     "q_moments",
-    "density_f12",
     "density_absj",
     "cdf_absj",
-    "cdf_absj_values",
-    "likelihood_ratio_at",
     "ABSJ_MAX",
 ]
 
@@ -76,9 +66,9 @@ _MAX_TERMS = 600
 class SeriesEvaluation:
     """A numeric result together with how it was obtained.
 
-    method is one of "series-near-0", "series-near-1" (which expansion of
-    the function's argument ran) or "quadrature".  error_bound is an upper
-    bound on the truncation/integration error, not a statistical estimate.
+    method is "series-near-0" or "series-near-1": which expansion of the
+    function's argument ran.  error_bound is an upper bound on the
+    truncation error, not a statistical estimate.
     """
 
     value: float
@@ -102,13 +92,6 @@ class ClosedFormTable:
 # gamma-family primitives
 
 
-def _require_positive(x: float, name: str) -> float:
-    x = float(x)
-    if not x > 0.0 or not math.isfinite(x):
-        raise ValueError(f"{name} must be positive and finite, got {x}")
-    return x
-
-
 def check_k(k) -> float:
     """k as a float, if the measure mu_k exists for it: finite and k > 1/2.
 
@@ -118,6 +101,24 @@ def check_k(k) -> float:
     if k is None or not 0.5 < float(k) < math.inf:
         raise ValueError(f"mu_k needs a finite k > 0.5, got k = {k}")
     return float(k)
+
+
+def check_q(q) -> float:
+    """q as a float, if it is a generalized entropy order: finite and q >= 0.
+
+    Shared by the entropies S_q, their averages and their Monte Carlo
+    statistic.  Raises ValueError otherwise.
+    """
+    if q is None or not 0.0 <= float(q) < math.inf:
+        raise ValueError(f"the generalized entropy needs a finite order q >= 0, got q = {q}")
+    return float(q)
+
+
+def _check_count(n, name: str) -> int:
+    """n as an int, if it is a nonnegative integer (an integral float counts)."""
+    if not (n >= 0 and n % 1 == 0):
+        raise ValueError(f"{name} must be a nonnegative integer, got {n}")
+    return int(n)
 
 
 #: B_2, B_4, ..., B_16: the Bernoulli numbers of the psi and psi' series
@@ -178,23 +179,13 @@ def _trigamma(x: float) -> float:
     return (1.0 + 0.5 / x + t * series) / x + shift
 
 
-def digamma(x: float) -> float:
-    """psi(x) = d/dx ln Gamma(x) for x > 0."""
-    return _psi(_require_positive(x, "x"))
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0; math.inf where that overflows a float."""
-    return _lgamma(_require_positive(x, "x"))
-
-
 def pochhammer(x: float, n: int) -> float:
     """Rising factorial (x)_n = x (x+1) ... (x+n-1) for x > 0, integer n >= 0."""
-    _require_positive(x, "x")
-    if n != int(n) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n}")
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"x must be positive and finite, got {x}")
     out = 1.0
-    for i in range(int(n)):
+    for i in range(_check_count(n, "n")):
         out *= x + i
     return out
 
@@ -270,28 +261,6 @@ def _g_coeffs() -> tuple[float, ...]:
 
 
 @lru_cache(maxsize=1)
-def _hyp0_table() -> _Table:
-    """2F1(1/3, 2/3; 1; z) = sum_n a_n z^n."""
-    return _plain(_a_coeffs())
-
-
-@lru_cache(maxsize=1)
-def _pfaff_table() -> _Table:
-    """2F1(1/3, 1/3; 1; w) = sum_n ((1/3)_n / n!)^2 w^n."""
-    c = [1.0]
-    for n in range(_MAX_TERMS - 1):
-        c.append(c[-1] * ((1.0 / 3.0 + n) / (n + 1.0)) ** 2)
-    return _plain(c)
-
-
-@lru_cache(maxsize=1)
-def _hyp1_table() -> _Table:
-    """2F1 = (sqrt(3)/(2 pi)) sum_n a_n (A_n - ln t) t^n, t = 1 - z."""
-    a = _a_coeffs()
-    return tuple(x * y for x, y in zip(a, _A_coeffs())), tuple(-x for x in a)
-
-
-@lru_cache(maxsize=1)
 def _f0_near0_table() -> _Table:
     """I(x^2) = (sqrt(3)/pi) sum_n a_n x^(2n+1)/(2n+1) (A_n + 2/(2n+1) - 2 ln x)."""
     a, A = _a_coeffs(), _A_coeffs()
@@ -332,41 +301,6 @@ def _cdf1_table(k: float) -> _Table:
 
 
 # ---------------------------------------------------------------------------
-# the hypergeometric 2F1(1/3, 2/3; 1; z)
-
-
-def gauss_2f1_onethird(z: float, tol: float = 1e-14) -> SeriesEvaluation:
-    """2F1(1/3, 2/3; 1; z) on -1 < z < 1.
-
-    For 0 <= z <= 1/2 the defining series.  For z < 0 Pfaff's transformation
-
-        2F1 = (1-z)^(-1/3) 2F1(1/3, 1/3; 1; w),  w = z/(z-1) in (0, 1/2),
-
-    whose series converges at least like 2^-n where the defining one would
-    crawl like |z|^n/n near z = -1.  Above 1/2 the expansion around z = 1,
-
-        2F1 = (sqrt(3)/(2 pi)) * sum_n a_n (A_n - ln(1-z)) (1-z)^n,
-
-    which converges since 1 - z < 1/2.  Values z >= 1 (logarithmic blowup)
-    and z <= -1 are rejected.
-    """
-    z = float(z)
-    if z >= 1.0 or z <= -1.0:
-        raise ValueError(f"gauss_2f1_onethird needs -1 < z < 1, got z = {z}")
-    if z < 0.0:
-        scale = (1.0 - z) ** (-1.0 / 3.0)
-        total, bound, n = _sum_series(_pfaff_table(), 1.0, z / (z - 1.0), scale, tol)
-        return SeriesEvaluation(scale * total, "series-near-0", n, bound)
-    if z <= 0.5:
-        total, bound, n = _sum_series(_hyp0_table(), 1.0, z, 1.0, tol)
-        return SeriesEvaluation(total, "series-near-0", n, bound)
-    t = 1.0 - z
-    scale = _SQRT3_OVER_PI / 2.0
-    total, bound, n = _sum_series(_hyp1_table(), 1.0, t, scale, tol, math.log(t))
-    return SeriesEvaluation(scale * total, "series-near-1", n, bound)
-
-
-# ---------------------------------------------------------------------------
 # normalization constants, volumes, moments
 
 
@@ -399,9 +333,7 @@ def q_moments(k: float, n: int) -> float:
     <Q>_1 = 1/180, <Q>_{3/2} = 3/286; n = 0 gives exactly 1.
     """
     k = check_k(k)
-    if n != int(n) or n < 0:
-        raise ValueError(f"moment order must be a nonnegative integer, got {n}")
-    n = int(n)
+    n = _check_count(n, "the moment order")
     if n == 0:
         return 1.0
     return math.exp(_ln_h(k + n) - _ln_h(k))
@@ -423,9 +355,7 @@ def mean_generalized_entropy_mu(k: float, q: float) -> float:
     there by its quadratic Taylor development to dodge the 0/0.
     """
     k = check_k(k)
-    q = float(q)
-    if q < 0.0:
-        raise ValueError(f"generalized entropy order must satisfy q >= 0, got {q}")
+    q = check_q(q)
     if abs(q - 1.0) < 1e-6:
         a = _psi(k + 1.0) - _psi(3.0 * k + 1.0)  # G'(1)
         b = _trigamma(k + 1.0) - _trigamma(3.0 * k + 1.0)  # G''(1)
@@ -446,44 +376,8 @@ def mean_generalized_entropy_b3(q: float) -> float:
     A single rational function of q, already continuous at q = 1 where it
     equals 53/60; 2 at q = 0 and 8/15 at q = 2.
     """
-    q = float(q)
-    if q < 0.0:
-        raise ValueError(f"generalized entropy order must satisfy q >= 0, got {q}")
+    q = check_q(q)
     return 2.0 / (q + 1.0) + 4.0 / (q + 2.0) - 9.0 / (q + 3.0) + 4.0 / (q + 4.0)
-
-
-def b3_integral(f: Callable[[float, float], float], tol: float = 1e-12) -> SeriesEvaluation:
-    """Integral over the polytope of a function of (b1, b2) alone.
-
-    Uses the exact marginalization of the flat measure onto the first row:
-
-        integral f db = int_0^1 db1 int_0^(1-b1) f(b1, b2)
-                        * (b1 b2 + (b1 + b2)(1 - b1 - b2)) db2.
-
-    Unnormalized: f = 1 integrates to 1/8.  Raises if the quadrature cannot
-    certify the requested absolute tolerance, quoting the achieved bound.
-    The only function here that needs scipy (the test extra); without it
-    the call raises ImportError.
-    """
-    # scipy's quadrature takes about a third of a second to import, so only
-    # the callers of this function pay for it
-    from scipy import integrate
-
-    evals = 0
-
-    def weighted(b2: float, b1: float) -> float:
-        nonlocal evals
-        evals += 1
-        return f(b1, b2) * (b1 * b2 + (b1 + b2) * (1.0 - b1 - b2))
-
-    value, abserr = integrate.dblquad(
-        weighted, 0.0, 1.0, 0.0, lambda b1: 1.0 - b1, epsabs=tol / 4.0, epsrel=1e-13
-    )
-    if abserr > tol:
-        raise RuntimeError(
-            f"quadrature reached absolute error {abserr:.3e}, above the requested {tol:.3e}"
-        )
-    return SeriesEvaluation(float(value), "quadrature", evals, float(abserr))
 
 
 def b3_q_integrals() -> tuple[float, float, float]:
@@ -516,10 +410,6 @@ def closed_form_table(k: float) -> ClosedFormTable:
 # ---------------------------------------------------------------------------
 # the distribution of x = sqrt(27 Q) and of |J|
 
-# leading terms of each series that cdf_absj_values evaluates by Horner's rule
-_VEC_TERMS_NEAR0 = 65
-_VEC_TERMS_NEAR1 = 220
-
 
 @lru_cache(maxsize=32)
 def _c_k(k: float) -> float:
@@ -528,25 +418,9 @@ def _c_k(k: float) -> float:
 
 def _x_from_y(y: float) -> float:
     y = float(y)
-    if y < -1e-15 or y > ABSJ_MAX * (1.0 + 1e-12):
+    if not -1e-15 <= y <= ABSJ_MAX * (1.0 + 1e-12):
         raise ValueError(f"|J| values live in [0, {ABSJ_MAX:.17g}], got {y}")
     return min(max(y, 0.0) * _X_SCALE, 1.0)
-
-
-def density_f12(k: float, x: float, tol: float = 1e-14) -> SeriesEvaluation:
-    """Density c_k x^(k-1) 2F1(1/3, 2/3; 1; 1-x) on (0, 1].
-
-    This is the law of the squared-area factor before the final Beta mixing;
-    the method tag describes the position of x itself.
-    """
-    k = check_k(k)
-    x = float(x)
-    if not 0.0 < x <= 1.0:
-        raise ValueError(f"density_f12 needs 0 < x <= 1, got x = {x}")
-    inner = gauss_2f1_onethird(1.0 - x, tol=tol)
-    pref = _c_k(k) * x ** (k - 1.0)
-    method = "series-near-0" if x <= 0.5 else "series-near-1"
-    return SeriesEvaluation(pref * inner.value, method, inner.terms_used, pref * inner.error_bound)
 
 
 def _f0_near0(k: float, x: float, tol: float) -> SeriesEvaluation:
@@ -615,58 +489,3 @@ def cdf_absj(k: float, y: float, tol: float = 1e-14) -> SeriesEvaluation:
     k = check_k(k)
     x = _x_from_y(y)
     return (_cdf_near0 if x <= 0.5 else _cdf_near1)(k, x, tol)
-
-
-def cdf_absj_values(k: float, ys) -> np.ndarray:
-    """Vectorized cdf_absj over an array of |J| values (values only).
-
-    Horner evaluation of the leading terms of the same two coefficient
-    tables; agrees with the scalar version to about 1e-13.
-    """
-    k = check_k(k)
-    y = np.asarray(ys, dtype=float)
-    if y.size and (y.min() < -1e-15 or y.max() > ABSJ_MAX * (1.0 + 1e-12)):
-        raise ValueError(f"|J| values live in [0, {ABSJ_MAX:.17g}]")
-    x = np.minimum(np.clip(y, 0.0, None) * _X_SCALE, 1.0)
-    out = np.empty_like(x)
-
-    p, r = _cdf0_table(k)
-    small = x <= 0.5
-    xs = x[small]
-    pos = xs > 0.0
-    xsq = xs * xs
-    p_const = np.zeros_like(xs)
-    p_log = np.zeros_like(xs)
-    for coef_p, coef_r in zip(p[_VEC_TERMS_NEAR0 - 1::-1], r[_VEC_TERMS_NEAR0 - 1::-1]):
-        p_const = p_const * xsq + coef_p
-        p_log = p_log * xsq + coef_r
-    log_x = np.where(pos, np.log(np.where(pos, xs, 1.0)), 0.0)
-    series = xs * (p_const + log_x * p_log)
-    pref = 2.0 * _c_k(k) * (k - 0.5) * np.where(pos, xs, 1.0) ** (2.0 * k - 1.0)
-    vals = pref * (3.0 / (2.0 * k - 1.0) - 0.5 * _SQRT3_OVER_PI * series)
-    out[small] = np.where(pos, vals, 0.0)
-
-    v = 1.0 - x[~small] ** 2
-    acc = np.zeros_like(v)
-    for coef in _cdf1_table(k)[0][_VEC_TERMS_NEAR1 - 1::-1]:
-        acc = acc * v + coef
-    out[~small] = 1.0 - _c_k(k) * (k - 0.5) * acc * v * v
-    return out
-
-
-def likelihood_ratio_at(y: float) -> float:
-    """Density ratio at |J| = y: Haar against the flat polytope measure.
-
-    The flat measure puts weight 8 pi^2 / 105 on the unistochastic part,
-    where it coincides with mu_{3/2}; the ratio
-
-        density_absj(1, y) / (volume_ratio() * density_absj(3/2, y))
-
-    is therefore exactly 1/(8 pi y): mu_{3/2} carries an extra factor
-    sqrt(Q) = 2|J| against mu_1, h_{3/2}/h_1 = 2 pi/105, and the volume
-    ratio is 8 h_{3/2}.  It is math.inf at y = 0 and 6 sqrt(3)/(8 pi) at
-    the endpoint y = 1/(6 sqrt(3)).
-    """
-    if _x_from_y(y) == 0.0:
-        return math.inf
-    return 1.0 / (8.0 * math.pi * min(float(y), ABSJ_MAX))

@@ -360,8 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed_value, default=DEFAULT_SEED,
                    help=f"RNG seed (default {DEFAULT_SEED}; 0 draws fresh entropy)")
     p.add_argument("--threads", type=_int_at_least(1), default=None,
-                   help="worker cap (default: UNILAB_THREADS or the CPU count); "
-                        "never changes the result")
+                   help="worker cap (default: the CPU count); never changes the result")
     p.add_argument("--y", type=_threshold_value, default=J_OBSERVED,
                    help=f"|J| threshold for prob-jobs (default {J_OBSERVED:g})")
     p.add_argument("--format", choices=("json", "csv"), default="json")

@@ -21,14 +21,14 @@ the maximum at the flat matrix W.
 
 The scalar functions of one matrix (q_of, classify, link_lengths, entropy,
 generalized_entropy and unitary.reconstruct) take any matrix form: a
-BistochasticMatrix, a BVector, a 4-vector b or a 3x3 array, validated once.
+BistochasticMatrix, a 4-vector b or a 3x3 array, validated once.
 NaN or infinite entries, entries below -ENTRY_ATOL, sums off by more than
 SUM_ATOL and any other shape raise ValueError.
 
 This module holds the data model, the Q test and chain-link test, entropies,
 the named special matrices, and the geometry of the polytope itself
-(triangulation volume, the embedding Gram determinant, and a grid-plus-refine
-search for the extreme values of Q).
+(triangulation volume, the embedding Gram determinant, and the product
+coordinates that the mu_k sampler draws in).
 """
 
 from __future__ import annotations
@@ -36,12 +36,13 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
+
+from .analytic import check_q
 
 __all__ = [
     "ENTRY_ATOL",
@@ -50,7 +51,6 @@ __all__ = [
     "Q_MIN",
     "Q_MAX",
     "MAX_BALL_RADIUS",
-    "BVector",
     "BistochasticMatrix",
     "MatrixClass",
     "UnistochasticityVerdict",
@@ -71,11 +71,7 @@ __all__ = [
     "embedding_gram_matrix",
     "embedding_gram_determinant",
     "embedding_jacobian",
-    "q_product_form",
-    "x_interval",
     "b_from_product_coords",
-    "ExtremeQResult",
-    "extreme_q_search",
     "W",
     "SCHUR",
     "IDENTITY",
@@ -117,46 +113,6 @@ def _nine_entries(b1, b2, b3, b4):
     )
 
 
-@dataclass(frozen=True)
-class BVector:
-    """The four free entries (B11, B12, B21, B22) of a 3x3 bistochastic matrix.
-
-    Validates on construction that b is finite and that all nine induced
-    matrix entries are nonnegative within ENTRY_ATOL.
-    """
-
-    b1: float
-    b2: float
-    b3: float
-    b4: float
-
-    def __post_init__(self) -> None:
-        for name in ("b1", "b2", "b3", "b4"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        b = self.as_tuple()
-        if not all(map(math.isfinite, b)):
-            raise ValueError(f"b = {b} has a non-finite entry")
-        worst = min(_nine_entries(*b))
-        if worst < -ENTRY_ATOL:
-            raise ValueError(
-                f"b = {b} leaves the bistochastic polytope "
-                f"(most negative induced entry: {worst:.3e})"
-            )
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.b1, self.b2, self.b3, self.b4)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.as_tuple())
-
-    @classmethod
-    def from_array(cls, arr) -> "BVector":
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape != (4,):
-            raise ValueError(f"b needs 4 values (b1, b2, b3, b4), got shape {arr.shape}")
-        return cls(*arr.tolist())
-
-
 def _b_entries(b) -> tuple:
     """The nine entries of B(b) for b arrays of shape (..., 4), each of shape (...)."""
     return _nine_entries(*np.moveaxis(np.asarray(b, dtype=float), -1, 0))
@@ -168,9 +124,9 @@ def matrix_from_b(b) -> np.ndarray:
     return entries.reshape(entries.shape[:-1] + (3, 3))
 
 
-def feasible_b_mask(b, atol: float = 0.0) -> np.ndarray:
-    """Boolean mask over b arrays of shape (..., 4): all nine entries >= -atol."""
-    return functools.reduce(np.minimum, _b_entries(b)) >= -atol
+def feasible_b_mask(b) -> np.ndarray:
+    """Boolean mask over b arrays of shape (..., 4): all nine entries >= 0."""
+    return functools.reduce(np.minimum, _b_entries(b)) >= 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,37 +159,17 @@ class BistochasticMatrix:
         object.__setattr__(self, "entries", arr)
 
     @classmethod
-    def from_entries(cls, entries, renormalize: bool = False) -> "BistochasticMatrix":
-        """Build from a 3x3 array.
-
-        With ``renormalize=True`` the input is first balanced by Sinkhorn
-        iteration (alternate row and column scaling).  Renormalization never
-        happens silently; the default raises on sums that are off by more
-        than SUM_ATOL.
-        """
-        arr = np.array(entries, dtype=float)
-        if renormalize:
-            if arr.shape != (3, 3) or np.any(arr < -ENTRY_ATOL) or np.any(arr.sum(axis=1) <= 0):
-                raise ValueError("cannot renormalize: not a positive 3x3 array")
-            arr = np.clip(arr, 0.0, None)
-            for _ in range(200):
-                arr /= arr.sum(axis=1, keepdims=True)
-                arr /= arr.sum(axis=0, keepdims=True)
-                # the columns were just normalized, so only the rows can be off
-                if np.max(np.abs(arr.sum(axis=1) - 1.0)) <= SUM_ATOL / 4:
-                    break
-        return cls(arr)
+    def from_entries(cls, entries) -> "BistochasticMatrix":
+        """Build from a 3x3 array; sums off by more than SUM_ATOL raise."""
+        return cls(entries)
 
     @classmethod
     def from_b(cls, b) -> "BistochasticMatrix":
-        if not isinstance(b, BVector):
-            b = BVector.from_array(b)
-        return cls(matrix_from_b(b.as_array()))
-
-    @property
-    def bvec(self) -> BVector:
-        e = self.entries
-        return BVector(e[0, 0], e[0, 1], e[1, 0], e[1, 1])
+        """Build B(b) from the four free entries b = (b1, b2, b3, b4)."""
+        arr = np.asarray(b, dtype=float)
+        if arr.shape != (4,):
+            raise ValueError(f"b needs 4 values (b1, b2, b3, b4), got shape {arr.shape}")
+        return cls(matrix_from_b(arr))
 
     def __array__(self, dtype=None, copy=None):
         arr = self.entries
@@ -246,7 +182,7 @@ def _as_matrix(x) -> BistochasticMatrix:
     """The one intake of the scalar functions (see the module docstring)."""
     if isinstance(x, BistochasticMatrix):
         return x
-    arr = np.asarray(x.as_tuple() if isinstance(x, BVector) else x, dtype=float)
+    arr = np.asarray(x, dtype=float)
     if arr.shape == (3, 3):
         return BistochasticMatrix(arr)
     if arr.shape == (4,):
@@ -357,9 +293,7 @@ def _entropy_of(entries) -> np.ndarray:
 
 def _generalized_entropy_of(entries, q: float) -> np.ndarray:
     """(1/(3(q-1))) sum (e - e^q) over nine entry arrays; q = 1 is the Shannon limit."""
-    q = float(q)
-    if q < 0.0:
-        raise ValueError(f"generalized entropy needs q >= 0, got {q}")
+    q = check_q(q)
     if q == 1.0:
         return _entropy_of(entries)
     total = 0.0
@@ -517,95 +451,15 @@ def birkhoff_volume_triangulation() -> float:
 
 
 # ---------------------------------------------------------------------------
-# extreme values of Q
-
-
-def q_product_form(b1, s, t, x):
-    """Q in the coordinates b2 = s(1-b1), b3 = t(1-b1), b4 = (1-s)(1-t) + b1 s t + x.
-
-    Q = -(1-b1)^2 (x^2 - 4 b1 s t (1-s)(1-t)), decreasing in x^2, which makes
-    the extreme-value search separable.  Broadcasts over array arguments.
-    """
-    return -((1.0 - b1) ** 2) * (x * x - 4.0 * b1 * s * t * (1.0 - s) * (1.0 - t))
-
-
-def x_interval(b1, s, t):
-    """Feasibility interval [-min(l1,l2), min(u1,u2)] of the x coordinate, broadcasting."""
-    u1 = s * (1.0 - t) + b1 * t * (1.0 - s)
-    u2 = t * (1.0 - s) + b1 * s * (1.0 - t)
-    l1 = (1.0 - s) * (1.0 - t) + b1 * s * t
-    l2 = s * t + b1 * (1.0 - s) * (1.0 - t)
-    return -np.minimum(l1, l2), np.minimum(u1, u2)
+# product coordinates
 
 
 def b_from_product_coords(b1, s, t, x) -> np.ndarray:
-    """b = (b1, s(1-b1), t(1-b1), (1-s)(1-t) + b1 s t + x), shape (..., 4)."""
+    """b = (b1, s(1-b1), t(1-b1), (1-s)(1-t) + b1 s t + x), shape (..., 4).
+
+    In these coordinates Q = -(1-b1)^2 (x^2 - 4 b1 s t (1-s)(1-t)), which
+    makes mu_k factorize (see unilab.sampling).  Broadcasts over array
+    arguments.
+    """
     b4 = (1.0 - s) * (1.0 - t) + b1 * s * t + x
     return np.stack(np.broadcast_arrays(b1, s * (1.0 - b1), t * (1.0 - b1), b4), axis=-1)
-
-
-class ExtremeQResult(NamedTuple):
-    min_point: BVector
-    min_value: float
-    max_point: BVector
-    max_value: float
-
-
-#: most Q values one step of a scan computes: the default 65^4 grid takes
-#: one b1 node per step, a refinement box all of its b1 nodes at once
-_SCAN_BLOCK = 1 << 19
-#: refinement nodes per axis, in units of the box half-width; the middle
-#: one is 0.0 exactly, so the incumbent is always a node
-_REFINE_OFFSETS = np.linspace(-1.0, 1.0, 9)
-
-
-def _scan_q(axes, best: list) -> list:
-    """Update best = [(lowest Q, point), (highest Q, point)] over a grid of (b1, s, t, xi).
-
-    axes holds four ascending node arrays; xi in [0, 1] sweeps the feasible
-    x interval.  Points are visited in ascending C order and replace an
-    incumbent only on strict improvement, so ties go to the incumbent, then
-    to the first point visited.
-    """
-    b1_nodes, s_nodes, t_nodes, xi_nodes = axes
-    step = max(1, _SCAN_BLOCK // (len(s_nodes) * len(t_nodes) * len(xi_nodes)))
-    for lo in range(0, len(b1_nodes), step):
-        b1, s, t, xi = grid = np.ix_(b1_nodes[lo:lo + step], s_nodes, t_nodes, xi_nodes)
-        xlo, xhi = x_interval(b1, s, t)
-        x = xlo + xi * (xhi - xlo)
-        qv = q_product_form(b1, s, t, x)
-        for side, i, better in ((0, qv.argmin(), operator.lt), (1, qv.argmax(), operator.gt)):
-            if better(qv.flat[i], best[side][0]):
-                idx = np.unravel_index(i, qv.shape)
-                best[side] = (float(qv.flat[i]), tuple(float(a.flat[j]) for a, j in zip(grid, idx)))
-    return best
-
-
-def extreme_q_search(grid_resolution: int = 64, refine_tolerance: float = 1e-9) -> ExtremeQResult:
-    """Locate the minimum and maximum of Q over the whole polytope.
-
-    One scan of a regular grid in the product coordinates (b1, s, t, xi),
-    where xi in [0, 1] sweeps the feasible x interval, finds both extremes.
-    Each is then rescanned on a box of 9 nodes per axis centred on it, the
-    box halving each pass until its half-width is below refine_tolerance.
-    Scans only accept strict improvements in ascending coordinate order, so
-    ties resolve to the first point encountered and a centre moves only for
-    a strictly better Q: the minimum lands exactly on the Schur vector
-    (0, 1/2, 1/2, 0), the maximum on the flat matrix.
-    """
-    if grid_resolution < 8:
-        raise ValueError("grid_resolution must be at least 8")
-    nodes = np.linspace(0.0, 1.0, grid_resolution + 1)
-    best = _scan_q((nodes,) * 4, [(math.inf, None), (-math.inf, None)])
-    for side in (0, 1):
-        half = 2.0 / grid_resolution
-        while half >= refine_tolerance:
-            box = [np.clip(c + half * _REFINE_OFFSETS, 0.0, 1.0) for c in best[side][1]]
-            best[side] = _scan_q(box, list(best))[side]
-            half /= 2.0
-    found = []
-    for value, (b1, s, t, xi) in best:
-        xlo, xhi = x_interval(b1, s, t)
-        b = b_from_product_coords(b1, s, t, xlo + xi * (xhi - xlo))
-        found += [BVector(*b.tolist()), value]
-    return ExtremeQResult(*found)

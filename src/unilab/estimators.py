@@ -20,6 +20,7 @@ from .analytic import (
     ABSJ_MAX,
     b3_q_integrals,
     cdf_absj,
+    check_q,
     mean_entropy_mu,
     mean_generalized_entropy_b3,
     mean_generalized_entropy_mu,
@@ -54,9 +55,7 @@ class Statistic:
             if self.param is not None:
                 raise ValueError(f"statistic {self.name!r} takes no parameter")
         elif self.name == "generalized_entropy":
-            if self.param is None or not float(self.param) >= 0.0:
-                raise ValueError("generalized_entropy needs an order q >= 0")
-            object.__setattr__(self, "param", float(self.param))
+            object.__setattr__(self, "param", check_q(self.param))
         elif self.name == "indicator_absj_leq":
             if self.param is None or not 0.0 <= float(self.param) <= ABSJ_MAX:
                 raise ValueError(
@@ -131,51 +130,13 @@ class EstimateResult:
         return json.dumps(self.as_dict())
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalCdf:
-    """Right-continuous step CDF of a sample, for KS comparisons."""
-
-    sorted_values: np.ndarray
-    n: int
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.sorted_values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("need a nonempty 1-d sample")
-        if (np.diff(v) < 0).any():
-            raise ValueError("values must be sorted ascending")
-        if int(self.n) != v.size:
-            raise ValueError(f"n = {self.n} does not match {v.size} values")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "sorted_values", v)
-        object.__setattr__(self, "n", v.size)
-
-    @classmethod
-    def from_samples(cls, values) -> "EmpiricalCdf":
-        v = np.sort(np.asarray(values, dtype=float).ravel())
-        return cls(v, v.size)
-
-    def __call__(self, x):
-        idx = np.searchsorted(self.sorted_values, x, side="right")
-        out = idx / self.n
-        return float(out) if np.ndim(x) == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # deterministic sharding and reduction
 
 
 def _resolve_threads(threads: Optional[int]) -> int:
     if threads is None:
-        env = os.environ.get("UNILAB_THREADS", "").strip()
-        if env:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise ValueError(f"UNILAB_THREADS must be an integer, got {env!r}") from None
-        else:
-            threads = os.cpu_count() or 1
+        threads = os.cpu_count() or 1
     threads = int(threads)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -323,57 +284,3 @@ def estimate_mean(
     )
     return _result(f"{measure.label}:{statistic.label}", parts, seed,
                    _reference_for(measure, statistic), statistic.is_indicator)
-
-
-def moment_suite(
-    k: float,
-    n_max: int,
-    samples: int,
-    seed: int = DEFAULT_SEED,
-    threads: Optional[int] = None,
-) -> tuple:
-    """MC moments <Q^n> under mu_k against their closed forms, n = 0..n_max.
-
-    All powers are taken over one shared set of samples.  The n = 0 row is
-    the trivial normalization check: exactly 1 with zero spread.
-    """
-    n_max = int(n_max)
-    if not 1 <= n_max <= 4:
-        raise ValueError(f"n_max must be between 1 and 4, got {n_max}")
-    samples = int(samples)
-    if samples < 100:
-        raise ValueError(f"need at least 100 samples, got {samples}")
-    measure = MeasureSpec.mu(k)
-
-    def work(stream, count):
-        qv = q_values(sample_b(measure, stream, count))
-        return [_moments_of(qv**power) for power in range(n_max + 1)]
-
-    seed, parts = _sharded(work, samples, seed, threads)
-    return tuple(
-        _result(f"{measure.label}:Q^{power}", [part[power] for part in parts], seed,
-                q_moments(measure.k, power))
-        for power in range(n_max + 1)
-    )
-
-
-def ks_distance(samples: EmpiricalCdf, analytic_cdf: Callable[[float], float]) -> float:
-    """Two-sided Kolmogorov-Smirnov distance of a sample from a model CDF.
-
-    Takes the larger of the two one-sided gaps at every sample point.  The
-    callable may be vectorized (an array of sorted values is tried first)
-    or plain scalar.
-    """
-    if samples.n < 1000:
-        raise ValueError(f"need at least 1000 samples for a stable distance, got {samples.n}")
-    v = samples.sorted_values
-    try:
-        f = np.asarray(analytic_cdf(v), dtype=float)
-        if f.shape != v.shape:
-            raise TypeError("not vectorized")
-    except (TypeError, ValueError):
-        f = np.array([float(analytic_cdf(x)) for x in v])
-    steps = np.arange(samples.n + 1) / samples.n
-    d_plus = float((steps[1:] - f).max())
-    d_minus = float((f - steps[:-1]).max())
-    return max(d_plus, d_minus)

@@ -197,8 +197,8 @@ def sample_flat_b3(stream, n: int) -> np.ndarray:
     (Dirichlet(1,...,1)) barycentric weights on that simplex's vertices.
     Rows consume the stream in order, so the first n points do not depend on
     how many were requested or on the block size.  The rows go through
-    feasible_b_mask at atol 0 as a guard: it drops only points that rounding
-    puts outside the polytope, and the loop draws their replacements.
+    feasible_b_mask as a guard: it drops only points that rounding puts
+    outside the polytope, and the loop draws their replacements.
     """
     g = _as_generator(stream)
     chunks = [np.empty((0, 4))]

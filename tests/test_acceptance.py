@@ -15,17 +15,15 @@ import time
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import hyp2f1
 
 from unilab import cli, core
 from unilab.analytic import (
     ABSJ_MAX,
     b3_q_integrals,
     cdf_absj,
-    cdf_absj_values,
     density_absj,
-    gauss_2f1_onethird,
     h_k,
-    likelihood_ratio_at,
     mean_entropy_mu,
     mean_generalized_entropy_b3,
     q_moments,
@@ -38,19 +36,12 @@ from unilab.core import (
     W,
     birkhoff_volume_triangulation,
     embedding_gram_determinant,
-    extreme_q_search,
     feasible_b_mask,
     matrix_from_b,
     q_of,
     q_values,
 )
-from unilab.estimators import (
-    EmpiricalCdf,
-    Statistic,
-    estimate_mean,
-    ks_distance,
-    moment_suite,
-)
+from unilab.estimators import Statistic, _moments_of, _result, _sharded, estimate_mean
 from unilab.sampling import (
     DEFAULT_SEED,
     FLAT_B3,
@@ -70,6 +61,34 @@ def _report(label: str, detail: str) -> None:
     print(f"PASS {label}: {detail}")
 
 
+def q_moment_rows(k, n_max, samples, threads=None):
+    """<Q^n> for n = 1..n_max under mu_k over one shared sample, scored by the estimators."""
+    measure = MeasureSpec.mu(k)
+
+    def work(stream, count):
+        qv = q_values(sample_b(measure, stream, count))
+        return [_moments_of(qv**power) for power in range(1, n_max + 1)]
+
+    seed, parts = _sharded(work, samples, SEED, threads)
+    return [_result(f"{measure.label}:Q^{power}", [part[power - 1] for part in parts], seed,
+                    q_moments(k, power)) for power in range(1, n_max + 1)]
+
+
+def ks_upper_bound(values, cdf, step=500):
+    """An upper bound on the Kolmogorov-Smirnov distance of a sample from a CDF.
+
+    cdf runs only at every step-th order statistic and the largest one.  A
+    monotone F at any sample lies between its values at the two nodes around
+    it, which bounds both one-sided gaps there; the bound exceeds the
+    distance by at most step/n.
+    """
+    v = np.sort(values)
+    n = v.size
+    nodes = np.unique(np.r_[0:n:step, n - 1])
+    f = np.array([cdf(y) for y in v[nodes].tolist()])
+    return max(((nodes[1:] + 1) / n - f[:-1]).max(), (f[1:] - nodes[:-1] / n).max())
+
+
 # ---------------------------------------------------------------------------
 # exact constants
 
@@ -87,8 +106,8 @@ def test_exact_constants():
         ("<J^2>[k=3/2] = 3/1144", q_moments(1.5, 1) / 4, 3 / 1144),
         ("<Q> flat = 1/168", b3_q_integrals()[0], 1 / 168),
         ("<Q^2> flat = 1/5940", b3_q_integrals()[1], 1 / 5940),
-        ("Q(Schur) = -1/16", q_of(SCHUR.bvec), -1 / 16),
-        ("Q(W) = 1/27", q_of(W.bvec), 1 / 27),
+        ("Q(Schur) = -1/16", q_of(SCHUR), -1 / 16),
+        ("Q(W) = 1/27", q_of(W), 1 / 27),
         ("J(F3)^2 = 1/108", jarlskog(reconstruct(W).unitary) ** 2, 1 / 108),
     ]
     worst = 0.0
@@ -142,8 +161,7 @@ def test_mc_q_moments_at_one_million():
     start = time.perf_counter()
     worst = 0.0
     for k in (1.0, 1.5, 2.0):
-        rows = moment_suite(k, 3, 10**6, seed=SEED)
-        for row in rows[1:]:
+        for row in q_moment_rows(k, 3, 10**6):
             worst = max(worst, abs(row.z_score))
             assert abs(row.z_score) < 4, row.name
     elapsed = time.perf_counter() - start
@@ -189,8 +207,11 @@ def test_ckm_scale_cdf_values():
 
 
 def test_likelihood_ratio_near_1200():
-    ratio = likelihood_ratio_at(3.08e-5)
+    # Haar against the flat polytope measure, exactly 1/(8 pi y)
+    y_obs = 3.08e-5
+    ratio = density_absj(1.0, y_obs).value / (volume_ratio() * density_absj(1.5, y_obs).value)
     assert ratio == pytest.approx(1200, rel=0.10)
+    assert ratio == pytest.approx(1 / (8 * math.pi * y_obs), rel=1e-12)
     _report("density ratio at observed |J|", f"{ratio:.1f} = 1200 +- 10%")
 
 
@@ -229,17 +250,21 @@ def test_k32_ckm_probability_series_vs_quadrature():
 def test_ks_haar_against_k1_cdf_at_one_million():
     u = sample_haar_unitary(RngStream(SEED), 10**6)
     absj = np.abs(jarlskog_values(u))
-    d = ks_distance(EmpiricalCdf.from_samples(absj), lambda y: cdf_absj_values(1.0, y))
+    d = ks_upper_bound(absj, lambda y: cdf_absj(1.0, y).value)
     assert d < 0.003
-    _report("KS of 1e6 Haar |J| vs k=1 CDF", f"D = {d:.5f} < 0.003")
+    _report("KS of 1e6 Haar |J| vs k=1 CDF", f"D <= {d:.5f} < 0.003")
 
 
 def test_ks_flat_measure_against_k32_cdf_at_one_million():
     b = sample_b(MeasureSpec.mu(1.5), RngStream(SEED), 10**6)
     absj = 0.5 * np.sqrt(np.clip(q_values(b), 0.0, None))
-    d = ks_distance(EmpiricalCdf.from_samples(absj), lambda y: cdf_absj_values(1.5, y))
+    d = ks_upper_bound(absj, lambda y: cdf_absj(1.5, y).value)
     assert d < 0.003
-    _report("KS of 1e6 mu_3/2 |J| vs k=3/2 CDF", f"D = {d:.5f} < 0.003")
+    # the bound is within 500/n of the distance, so it still rejects a wrong law
+    wrong = ks_upper_bound(absj, lambda y: cdf_absj(1.0, y).value)
+    assert wrong > 0.1
+    _report("KS of 1e6 mu_3/2 |J| vs k=3/2 CDF",
+            f"D <= {d:.5f} < 0.003; against the k=1 CDF D >= {wrong - 5e-4:.3f} > 0.1")
 
 
 def test_absj_density_normalization():
@@ -255,9 +280,9 @@ def test_absj_density_normalization():
 
 
 def test_hypergeometric_lemma_quadrature():
-    total, _ = quad(lambda u: 2.0 * gauss_2f1_onethird(1 - u * u).value, 0.0, 1.0, limit=200)
+    total, _ = quad(lambda u: 2.0 * hyp2f1(1 / 3, 2 / 3, 1, 1 - u * u), 0.0, 1.0, limit=200)
     assert abs(total - 3.0) <= 1e-8
-    _report("series kernel integrates to 3", f"|{total:.12f} - 3| <= 1e-8")
+    _report("2F1 lemma integrates to 3", f"|{total:.12f} - 3| <= 1e-8")
 
 
 # ---------------------------------------------------------------------------
@@ -329,17 +354,6 @@ def test_chain_condition_equivalence_hundred_thousand():
     )
 
 
-def test_extreme_search_recovers_range():
-    result = extreme_q_search()
-    lo_err = abs(result.min_value - (-1 / 16))
-    hi_err = abs(result.max_value - 1 / 27)
-    assert lo_err <= 1e-9 and hi_err <= 1e-9
-    _report(
-        "numeric search finds the Q range",
-        f"min err {lo_err:.1e}, max err {hi_err:.1e} <= 1e-9",
-    )
-
-
 def test_ball_containment_hundred_thousand():
     rng = RngStream(SEED).generator
     n = 10**5
@@ -347,7 +361,7 @@ def test_ball_containment_hundred_thousand():
     z = rng.normal(size=(n, 4))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     radius = MAX_BALL_RADIUS * rng.random(n) ** 0.25
-    center = W.bvec.as_array()
+    center = W.entries[:2, :2].ravel()
     b = center + (radius[:, None] * z) @ np.linalg.inv(np.linalg.cholesky(gram))
     assert feasible_b_mask(b).all()
     q_min = q_values(b).min()
@@ -370,8 +384,8 @@ def test_estimators_bit_identical_across_threads():
         rerun = estimate_mean(FLAT_B3, stat, 50_000, seed=SEED, threads=8)
         assert one == eight == rerun
         pairs.append(stat.label)
-    suite_one = moment_suite(1.5, 2, 20_000, seed=SEED, threads=1)
-    suite_eight = moment_suite(1.5, 2, 20_000, seed=SEED, threads=8)
+    suite_one = q_moment_rows(1.5, 2, 20_000, threads=1)
+    suite_eight = q_moment_rows(1.5, 2, 20_000, threads=8)
     assert suite_one == suite_eight
     _report(
         "estimator determinism",

@@ -3,24 +3,18 @@ import math
 import numpy as np
 import pytest
 from scipy import special
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
 from scipy.special import hyp2f1
 
 from unilab import analytic as an
+from unilab import core
 from unilab.analytic import (
     ABSJ_MAX,
-    b3_integral,
     b3_q_integrals,
     cdf_absj,
-    cdf_absj_values,
     closed_form_table,
     density_absj,
-    density_f12,
-    digamma,
-    gauss_2f1_onethird,
     h_k,
-    likelihood_ratio_at,
-    log_gamma,
     mean_entropy_mu,
     mean_generalized_entropy_b3,
     mean_generalized_entropy_mu,
@@ -28,6 +22,7 @@ from unilab.analytic import (
     q_moments,
     volume_ratio,
 )
+from unilab.estimators import Statistic
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -37,10 +32,10 @@ EULER_GAMMA = 0.5772156649015328606
 
 
 def test_digamma_log_gamma_pochhammer_values():
-    assert digamma(1.0) == pytest.approx(-EULER_GAMMA, rel=1e-14)
-    assert digamma(2.0) == pytest.approx(1.0 - EULER_GAMMA, rel=1e-14)
-    assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-    assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
+    assert an._psi(1.0) == pytest.approx(-EULER_GAMMA, rel=1e-14)
+    assert an._psi(2.0) == pytest.approx(1.0 - EULER_GAMMA, rel=1e-14)
+    assert an._lgamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
+    assert an._lgamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
     assert pochhammer(3.0, 4) == 360.0
     assert pochhammer(0.5, 2) == 0.75
     assert pochhammer(7.3, 0) == 1.0
@@ -62,9 +57,9 @@ def gamma_family_points():
 
 
 @pytest.mark.parametrize("ours, scipys", [
-    (digamma, special.psi),
+    (an._psi, special.psi),
     (an._trigamma, lambda x: special.polygamma(1, x)),
-    (log_gamma, special.gammaln),
+    (an._lgamma, special.gammaln),
 ], ids=["psi", "trigamma", "log_gamma"])
 def test_gamma_family_matches_scipy(ours, scipys):
     xs = gamma_family_points()
@@ -78,59 +73,25 @@ def test_gamma_family_matches_scipy(ours, scipys):
 
 def test_gamma_family_at_the_ends_of_the_floats():
     # math.lgamma raises OverflowError from about 2.5e305; the value is inf
-    assert log_gamma(1e308) == math.inf
-    assert log_gamma(2.5e305) == pytest.approx(2.5e305 * (math.log(2.5e305) - 1), rel=1e-12)
-    assert digamma(1e308) == pytest.approx(math.log(1e308), rel=1e-15)
-    assert digamma(1e-300) == pytest.approx(-1e300, rel=1e-15)
+    assert an._lgamma(1e308) == math.inf
+    assert an._lgamma(2.5e305) == pytest.approx(2.5e305 * (math.log(2.5e305) - 1), rel=1e-12)
+    assert an._psi(1e308) == pytest.approx(math.log(1e308), rel=1e-15)
+    assert an._psi(1e-300) == pytest.approx(-1e300, rel=1e-15)
     # 1/x^2 overflows before x^2 underflows to a division by zero
     assert an._trigamma(1e-200) == math.inf
     assert an._trigamma(1e308) == pytest.approx(1e-308, rel=1e-15)
 
 
 def test_gamma_primitives_reject_bad_domains():
-    for fn in (digamma, log_gamma):
-        for bad in (0.0, -1.0, math.nan):
-            with pytest.raises(ValueError):
-                fn(bad)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            pochhammer(bad, 2)
     with pytest.raises(ValueError):
         pochhammer(-2.0, 3)
     with pytest.raises(ValueError):
         pochhammer(1.0, -1)
     with pytest.raises(ValueError):
         pochhammer(1.0, 2.5)
-
-
-# ---------------------------------------------------------------------------
-# the hypergeometric series
-
-
-def test_2f1_against_scipy_on_grid():
-    near_minus_one = [-0.99, -0.9999, -0.999999]
-    for z in np.concatenate([np.linspace(-0.9, 0.999, 41), [0.5, 0.5 + 1e-12], near_minus_one]):
-        ev = gauss_2f1_onethird(float(z))
-        assert ev.value == pytest.approx(hyp2f1(1 / 3, 2 / 3, 1, z), rel=1e-12)
-        assert ev.error_bound <= 1e-14
-
-
-def test_2f1_reports_method_and_terms():
-    ev = gauss_2f1_onethird(0.25)
-    assert ev.method == "series-near-0" and ev.terms_used > 1
-    ev = gauss_2f1_onethird(0.75)
-    assert ev.method == "series-near-1" and ev.terms_used > 1
-    assert gauss_2f1_onethird(0.0).value == 1.0
-
-
-def test_2f1_domain_errors():
-    for z in (1.0, 1.5, -1.0, -2.0):
-        with pytest.raises(ValueError):
-            gauss_2f1_onethird(z)
-
-
-def test_2f1_tolerance_steers_termination():
-    loose = gauss_2f1_onethird(0.45, tol=1e-6)
-    tight = gauss_2f1_onethird(0.45, tol=1e-15)
-    assert loose.terms_used < tight.terms_used
-    assert abs(loose.value - tight.value) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -236,26 +197,51 @@ def test_mean_generalized_entropy_b3():
         mean_generalized_entropy_b3(-1.0)
 
 
-# ---------------------------------------------------------------------------
-# polytope quadrature
+def b3_marginal_integral(f):
+    """Integral of f(b1, b2) over the polytope, by the flat measure's (b1, b2) marginal.
+
+    The weight b1 b2 + (b1 + b2)(1 - b1 - b2) on the triangle b1, b2 >= 0,
+    b1 + b2 <= 1 is the volume of the (b3, b4) slice; f = 1 gives 1/8.
+    """
+    value, _ = dblquad(lambda b2, b1: f(b1, b2) * (b1 * b2 + (b1 + b2) * (1 - b1 - b2)),
+                       0.0, 1.0, 0.0, lambda b1: 1.0 - b1, epsabs=1e-13, epsrel=1e-13)
+    return value
 
 
 def test_b3_integral_normalization_and_marginals():
-    ev = b3_integral(lambda b1, b2: 1.0)
-    assert ev.method == "quadrature" and ev.terms_used > 0
-    assert ev.value == pytest.approx(1 / 8, abs=1e-12)
-    # first-coordinate marginal: int b1 db = 1/24, int b1^2 db = 7/360
-    assert b3_integral(lambda b1, b2: b1).value == pytest.approx(1 / 24, abs=1e-12)
-    assert b3_integral(lambda b1, b2: b1 * b1).value == pytest.approx(7 / 360, abs=1e-12)
-    # entropy average over the polytope, via a function of b1 alone
-    s = b3_integral(lambda b1, b2: -3 * b1 * math.log(b1) if b1 > 0 else 0.0)
-    assert 8 * s.value == pytest.approx(53 / 60, abs=1e-9)
+    # the first-row marginal: volume 1/8, int b1 db = 1/24, int b1^2 db = 7/360
+    assert b3_marginal_integral(lambda b1, b2: 1.0) == pytest.approx(1 / 8, abs=1e-12)
+    assert b3_marginal_integral(lambda b1, b2: b1) == pytest.approx(1 / 24, abs=1e-12)
+    assert b3_marginal_integral(lambda b1, b2: b1 * b1) == pytest.approx(7 / 360, abs=1e-12)
+    # every entry has the law of b1, so <S> = -3 <b1 ln b1> = 53/60
+    s = b3_marginal_integral(lambda b1, b2: -3 * b1 * math.log(b1) if b1 > 0 else 0.0)
+    assert 8 * s == pytest.approx(mean_generalized_entropy_b3(1.0), abs=1e-9)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-def test_b3_integral_unreachable_tolerance_raises():
-    with pytest.raises(RuntimeError, match="absolute error"):
-        b3_integral(lambda b1, b2: math.sin(50 * b1 * b2), tol=0.0)
+_NON_FINITE_PARAMETERS = {
+    "cdf_absj-y-nan": lambda: cdf_absj(1.0, math.nan),
+    "density_absj-y-nan": lambda: density_absj(1.0, math.nan),
+    "generalized_entropy-q-nan": lambda: core.generalized_entropy(core.W, math.nan),
+    "generalized_entropy_values-q-inf": lambda: core.generalized_entropy_values([0.25] * 4, math.inf),
+    "mean_generalized_entropy_b3-q-nan": lambda: mean_generalized_entropy_b3(math.nan),
+    "mean_generalized_entropy_mu-q-inf": lambda: mean_generalized_entropy_mu(1.0, math.inf),
+    "mean_generalized_entropy_mu-q-nan": lambda: mean_generalized_entropy_mu(1.0, math.nan),
+    "statistic-q-inf": lambda: Statistic.generalized_entropy(math.inf),
+    "q_moments-n-inf": lambda: q_moments(1.0, math.inf),
+    "q_moments-n-nan": lambda: q_moments(1.0, math.nan),
+    "pochhammer-n-inf": lambda: pochhammer(1.0, math.inf),
+}
+
+
+@pytest.mark.parametrize("call", _NON_FINITE_PARAMETERS.values(), ids=list(_NON_FINITE_PARAMETERS))
+def test_non_finite_parameters_raise_value_error(call):
+    # each of these once returned NaN, or raised OverflowError
+    with pytest.raises(ValueError):
+        call()
+
+
+# ---------------------------------------------------------------------------
+# the flat polytope measure
 
 
 def test_b3_q_integrals():
@@ -268,18 +254,6 @@ def test_b3_q_integrals():
 
 # ---------------------------------------------------------------------------
 # the distribution of |J|
-
-
-def test_density_f12_endpoint_and_domain():
-    assert density_f12(1.0, 1.0).value == pytest.approx(4 * math.pi * math.sqrt(3) / 27, rel=1e-13)
-    assert density_f12(1.5, 1.0).value == pytest.approx(35 / 27, rel=1e-13)
-    for bad in (0.0, -0.5, 1.001):
-        with pytest.raises(ValueError):
-            density_f12(1.0, bad)
-    # normalization on (0, 1]
-    for k in (1.0, 1.5):
-        val, _ = quad(lambda x: density_f12(k, x).value, 0, 1, limit=200)
-        assert val == pytest.approx(1.0, abs=1e-9)
 
 
 def test_density_absj_boundary_values():
@@ -304,15 +278,19 @@ def test_density_absj_integrates_to_one():
 
 
 def test_lemma_integral_is_three():
-    # int_0^1 2F1(1/3, 2/3; 1; 1-t) t^(-1/2) dt, regularized by t = u^2
-    val, _ = quad(lambda u: 2.0 * gauss_2f1_onethird(1 - u * u).value, 0, 1, limit=200)
+    # int_0^1 2F1(1/3, 2/3; 1; 1-t) t^(-1/2) dt, regularized by t = u^2: the
+    # I(1) = 3 behind the "3 - I(x^2)" of the density and CDF series
+    val, _ = quad(lambda u: 2.0 * hyp2f1(1 / 3, 2 / 3, 1, 1 - u * u), 0, 1, limit=200)
     assert val == pytest.approx(3.0, abs=1e-8)
 
 
 def test_cdf_absj_endpoints_and_domain():
+    ys = np.linspace(0.0, ABSJ_MAX, 257)
     for k in (0.8, 1.0, 1.5, 2.0):
         assert cdf_absj(k, 0.0).value == 0.0
         assert cdf_absj(k, ABSJ_MAX).value == 1.0
+        # monotone on a grid, as the KS bound of the acceptance tests assumes
+        assert (np.diff([cdf_absj(k, y).value for y in ys.tolist()]) >= 0).all()
     with pytest.raises(ValueError):
         cdf_absj(1.0, ABSJ_MAX * 1.01)
     with pytest.raises(ValueError):
@@ -394,17 +372,6 @@ def test_density_absj_branch_agreement():
         assert density_absj(k, y_split * 1.001).method == "series-near-1"
 
 
-def test_cdf_vectorized_matches_scalar():
-    ys = np.linspace(0.0, ABSJ_MAX, 257)
-    for k in (0.8, 1.0, 1.5, 2.0):
-        vec = cdf_absj_values(k, ys)
-        ref = np.array([cdf_absj(k, float(y)).value for y in ys])
-        np.testing.assert_allclose(vec, ref, rtol=0, atol=1e-13)
-        assert (np.diff(vec) >= 0).all()
-    with pytest.raises(ValueError):
-        cdf_absj_values(1.0, [0.0, ABSJ_MAX * 1.05])
-
-
 def test_error_bounds_are_honest():
     # tighten the tolerance and confirm the reported bound covers the shift
     for k in (1.0, 1.5):
@@ -427,18 +394,14 @@ def test_ckm_scale_values():
 
 
 def test_likelihood_ratio_at_observed_j():
-    r = likelihood_ratio_at(3.08e-5)
+    # Haar against the flat polytope measure: mu_3/2 carries an extra
+    # sqrt(Q) = 2|J| against mu_1, h_3/2 / h_1 = 2 pi/105, and the volume
+    # ratio is 8 h_3/2, so the density ratio is exactly 1/(8 pi y)
+    def ratio(y):
+        return density_absj(1.0, y).value / (volume_ratio() * density_absj(1.5, y).value)
+
+    r = ratio(3.08e-5)
     assert 1080 <= r <= 1320
     assert r == pytest.approx(1291.84207, rel=1e-6)
-    # at tiny y the ratio approaches the ratio of the density intercepts;
-    # mu_3/2 has vanishing density there, so the ratio blows up
-    assert likelihood_ratio_at(1e-8) > likelihood_ratio_at(1e-5) > likelihood_ratio_at(1e-3)
-    assert likelihood_ratio_at(0.0) == math.inf
-    # both densities vanish at the endpoint, where the ratio is still finite
-    endpoint = 6 * math.sqrt(3) / (8 * math.pi)
-    assert likelihood_ratio_at(ABSJ_MAX) == pytest.approx(endpoint, rel=1e-15)
-    for y in (1e-6, 3.08e-5, 1e-3, 0.03, 0.09):
-        ratio = density_absj(1.0, y).value / (volume_ratio() * density_absj(1.5, y).value)
-        assert likelihood_ratio_at(y) == pytest.approx(ratio, rel=1e-12)
-    with pytest.raises(ValueError):
-        likelihood_ratio_at(1.01 * ABSJ_MAX)
+    for y in (1e-8, 1e-6, 3.08e-5, 1e-3, 0.03, 0.09):
+        assert ratio(y) == pytest.approx(1 / (8 * math.pi * y), rel=1e-12)

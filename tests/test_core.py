@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from unilab import core
 from unilab.core import (
     BistochasticMatrix,
-    BVector,
     MatrixClass,
     chain_link_feasible,
     classify,
@@ -30,7 +29,7 @@ def _simplex_point(simplex, raw):
     total = sum(raw)
     weights = [w / total for w in raw] if total > 0.0 else [1.0, 0.0, 0.0, 0.0, 0.0]
     verts = [core._VERTEX_B[name] for name in core._SIMPLEX_VERTICES[simplex]]
-    return BVector(*(sum(w * v[i] for w, v in zip(weights, verts)) for i in range(4)))
+    return tuple(sum(w * v[i] for w, v in zip(weights, verts)) for i in range(4))
 
 
 def feasible_floats():
@@ -53,11 +52,11 @@ def random_b(rng, n):
 
 
 def test_q_at_the_landmarks():
-    assert q_of(core.SCHUR.bvec) == -1.0 / 16.0
-    assert math.isclose(q_of(core.W.bvec), 1.0 / 27.0, abs_tol=1e-15)
-    assert q_of(core.IDENTITY.bvec) == 0.0
+    assert q_of(core.SCHUR) == -1.0 / 16.0
+    assert math.isclose(q_of(core.W), 1.0 / 27.0, abs_tol=1e-15)
+    assert q_of(core.IDENTITY) == 0.0
     for name in ("P", "P2", "P12", "P13", "P23"):
-        assert q_of(core.NAMED_MATRICES[name].bvec) == 0.0
+        assert q_of(core.NAMED_MATRICES[name]) == 0.0
 
 
 def test_q_range_on_random_sample():
@@ -71,7 +70,7 @@ def test_q_vectorized_matches_scalar():
     rng = np.random.default_rng(11)
     pts = random_b(rng, 50)
     for row in pts:
-        assert q_values(row) == q_of(BVector.from_array(row))
+        assert q_values(row) == q_of(row)
 
 
 def test_q_invariant_under_all_72_symmetries():
@@ -83,9 +82,8 @@ def test_q_invariant_under_all_72_symmetries():
         for rp in itertools.permutations(range(3)):
             for cp in itertools.permutations(range(3)):
                 for mat in (m[np.ix_(rp, cp)], m[np.ix_(rp, cp)].T):
-                    b = BistochasticMatrix(mat).bvec
                     images.add(mat.tobytes())
-                    assert math.isclose(q_of(b), q0, rel_tol=0, abs_tol=1e-12)
+                    assert math.isclose(q_of(mat), q0, rel_tol=0, abs_tol=1e-12)
         # generic matrices really do have 72 distinct images
         if len(np.unique(np.round(m, 12))) == 9:
             assert len(images) == 72
@@ -93,20 +91,6 @@ def test_q_invariant_under_all_72_symmetries():
 
 # ---------------------------------------------------------------------------
 # data model
-
-
-def test_bvector_rejects_points_outside_polytope():
-    with pytest.raises(ValueError):
-        BVector(0.9, 0.9, 0.0, 0.0)  # B13 = -0.8
-    with pytest.raises(ValueError):
-        BVector(0.2, 0.2, 0.2, 0.2)  # B33 = -0.2
-    # builtin min skips a NaN that is not first, so this needs its own check
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="non-finite"):
-            BVector(0.25, bad, 0.25, 0.25)
-    with pytest.raises(ValueError, match="4 values"):
-        BVector.from_array([0.3, 0.3, 0.3])
-    BVector(0.25, 0.25, 0.25, 0.25)  # fine
 
 
 def test_matrix_construction_checks_sums_and_signs():
@@ -124,19 +108,22 @@ def test_matrix_construction_checks_sums_and_signs():
     assert m.entries.min() == 0.0
 
 
-def test_explicit_renormalization():
-    rng = np.random.default_rng(3)
-    raw = rng.random((3, 3)) + 0.1
-    with pytest.raises(ValueError):
-        BistochasticMatrix.from_entries(raw)
-    m = BistochasticMatrix.from_entries(raw, renormalize=True)
-    np.testing.assert_allclose(m.entries.sum(axis=0), 1.0, atol=core.SUM_ATOL)
-    np.testing.assert_allclose(m.entries.sum(axis=1), 1.0, atol=core.SUM_ATOL)
+def test_bvector_rejects_points_outside_polytope():
+    with pytest.raises(ValueError, match="B13"):
+        BistochasticMatrix.from_b((0.9, 0.9, 0.0, 0.0))  # B13 = -0.8
+    with pytest.raises(ValueError, match="B33"):
+        BistochasticMatrix.from_b((0.2, 0.2, 0.2, 0.2))  # B33 = -0.2
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            BistochasticMatrix.from_b((0.25, bad, 0.25, 0.25))
+    with pytest.raises(ValueError, match="4 values"):
+        BistochasticMatrix.from_b([0.3, 0.3, 0.3])
+    BistochasticMatrix.from_b((0.25, 0.25, 0.25, 0.25))  # fine
 
 
 def test_bvec_round_trip():
-    b = BVector(0.3, 0.4, 0.2, 0.1)
-    assert BistochasticMatrix.from_b(b).bvec == b
+    b = (0.3, 0.4, 0.2, 0.1)
+    assert tuple(BistochasticMatrix.from_b(b).entries[:2, :2].ravel().tolist()) == b
 
 
 def test_named_matrices_are_verbatim():
@@ -175,7 +162,7 @@ _FORM_CASES = {
 @pytest.mark.parametrize("b", _FORM_CASES.values(), ids=list(_FORM_CASES))
 def test_every_input_form_gives_the_same_result(b):
     mat = BistochasticMatrix.from_b(b)
-    forms = [mat, BVector(*b), np.array(b), np.array(mat.entries)]
+    forms = [mat, b, np.array(b), np.array(mat.entries)]
     for f in (classify, q_of, core.link_lengths, core.entropy,
               lambda x: core.generalized_entropy(x, 2.0)):
         first, *rest = [f(x) for x in forms]
@@ -217,15 +204,14 @@ def test_verdict_carries_q_and_links():
     assert v.link_lengths == (0.0, 0.0, 0.5)
 
     # equal-diagonal orthostochastic point: the links close only flat
-    v = classify(BistochasticMatrix.from_b(BVector(0.25, 0.25, 0.25, 0.25)))
+    v = classify(BistochasticMatrix.from_b((0.25, 0.25, 0.25, 0.25)))
     assert v.classification is MatrixClass.ORTHOSTOCHASTIC
     assert v.link_lengths == (0.25, 0.25, 0.5)
     assert chain_link_feasible(v.link_lengths)
 
 
 def test_link_lengths_use_third_row_of_the_matrix():
-    b = BVector(0.3, 0.25, 0.2, 0.35)
-    m = BistochasticMatrix.from_b(b)
+    m = BistochasticMatrix.from_b((0.3, 0.25, 0.2, 0.35))
     l1, l2, l3 = core.link_lengths(m)
     assert math.isclose(l1, math.sqrt(0.3 * 0.25))
     assert math.isclose(l2, math.sqrt(0.2 * 0.35))
@@ -281,8 +267,7 @@ def test_entropy_range_and_vectorization():
     pts = random_b(rng, 10_000)
     s = core.entropy_values(pts)
     assert s.min() >= 0.0 and s.max() <= math.log(3) + 1e-15
-    b = BVector.from_array(pts[0])
-    assert math.isclose(s[0], core.entropy(BistochasticMatrix.from_b(b)))
+    assert math.isclose(s[0], core.entropy(BistochasticMatrix.from_b(pts[0])))
 
 
 def test_generalized_entropy_values_and_limits():
@@ -294,8 +279,7 @@ def test_generalized_entropy_values_and_limits():
     # q = 2 on W: (1/3) (3 - 9/9) = 2/3
     assert math.isclose(core.generalized_entropy(core.W, 2.0), 2.0 / 3.0)
     # q = 1 is the Shannon limit, approached continuously
-    b = BVector(0.3, 0.4, 0.2, 0.1)
-    m = BistochasticMatrix.from_b(b)
+    m = BistochasticMatrix.from_b((0.3, 0.4, 0.2, 0.1))
     s1 = core.generalized_entropy(m, 1.0)
     assert s1 == core.entropy(m)
     for q in (1.0 - 1e-7, 1.0 + 1e-7):
@@ -307,7 +291,7 @@ def test_generalized_entropy_vectorized_matches_scalar():
     pts = random_b(rng, 64)
     for q in (0.0, 0.5, 2.0, 3.7):
         vals = core.generalized_entropy_values(pts, q)
-        m = BistochasticMatrix.from_b(BVector.from_array(pts[0]))
+        m = BistochasticMatrix.from_b(pts[0])
         assert math.isclose(vals[0], core.generalized_entropy(m, q), rel_tol=1e-14)
 
 
@@ -328,7 +312,7 @@ def test_entropy_kernels_match_stacked_formula_and_scalar():
     faces = faces[core.feasible_b_mask(faces)]
     assert len(faces) > 100
     assert ((core.matrix_from_b(faces) == 0.0).any(axis=(-2, -1))).all()
-    landmarks = np.array([m.bvec.as_tuple() for m in (core.IDENTITY, core.P, core.W, core.SCHUR)])
+    landmarks = np.array([m.entries[:2, :2].ravel() for m in (core.IDENTITY, core.P, core.W, core.SCHUR)])
     pts = np.concatenate([interior, faces, landmarks])
     matrices = [BistochasticMatrix.from_b(row) for row in pts]
     for q in (1.0, 0.0, 0.5, 2.0, 3.0):
@@ -342,7 +326,7 @@ def test_entropy_kernels_match_stacked_formula_and_scalar():
         np.testing.assert_array_equal(vals, scalar)
     # a permutation has entropy +0.0, never -0.0, in both kernels and for every q
     perms = (core.IDENTITY, core.P, core.P2, core.P12, core.P13, core.P23)
-    perm_b = np.array([m.bvec.as_tuple() for m in perms])
+    perm_b = np.array([m.entries[:2, :2].ravel() for m in perms])
     for q in (0.0, 0.5, 1.0, 2.0, 3.0):
         batch = core.entropy_values(perm_b) if q == 1.0 else core.generalized_entropy_values(perm_b, q)
         scalar = [core.entropy(m) if q == 1.0 else core.generalized_entropy(m, q) for m in perms]
@@ -388,7 +372,7 @@ def test_gram_matrix_agrees_with_pairwise_vertex_distances():
 def test_ball_around_w_is_unistochastic():
     rng = np.random.default_rng(37)
     pts = random_b(rng, 100_000)
-    w = core.W.bvec.as_array()
+    w = core.W.entries[:2, :2].ravel()
     g = core.embedding_gram_matrix().astype(float)
     d = pts - w
     dist2 = np.einsum("ni,ij,nj->n", d, g, d)
@@ -403,51 +387,27 @@ def test_ball_around_w_is_unistochastic():
 
 
 # ---------------------------------------------------------------------------
-# extreme value search
+# product coordinates
 
 
 def test_product_coordinates_reproduce_q():
+    # Q = -(1-b1)^2 (x^2 - 4 b1 s t (1-s)(1-t)), the identity sample_mu_k draws by
     rng = np.random.default_rng(41)
-    draws, scalar = [], []
-    for _ in range(200):
-        b1, s, t = rng.random(3)
-        xlo, xhi = core.x_interval(b1, s, t)
-        x = rng.uniform(xlo, xhi)
-        b = core.b_from_product_coords(b1, s, t, x)
-        q = core.q_product_form(b1, s, t, x)
-        assert math.isclose(q, q_of(b), rel_tol=1e-12, abs_tol=1e-14)
-        draws.append((b1, s, t, x))
-        scalar.append((xlo, xhi, *b, q))
-    # one array call per kernel gives the scalar results exactly
-    b1, s, t, x = np.array(draws).T
-    batch = np.column_stack([*core.x_interval(b1, s, t), core.b_from_product_coords(b1, s, t, x),
-                             core.q_product_form(b1, s, t, x)])
+    b1, s, t, x = rng.random((4, 200))
+    x = 2.0 * x - 1.0
+    batch = core.b_from_product_coords(b1, s, t, x)
+    np.testing.assert_allclose(batch[:, 1:3], np.column_stack([s, t]) * (1 - b1)[:, None],
+                               rtol=1e-15)
+    want = -((1 - b1) ** 2) * (x * x - 4 * b1 * s * t * (1 - s) * (1 - t))
+    np.testing.assert_allclose(q_values(batch), want, rtol=1e-12, atol=1e-14)
+    # one array call gives the scalar results exactly
+    scalar = [core.b_from_product_coords(*p) for p in zip(b1, s, t, x)]
     np.testing.assert_array_equal(batch, np.array(scalar))
 
 
 def test_product_coordinate_edge_point():
-    # on the b1 = 1/2, s = t = 0 edge the lower x endpoint is the deepest
-    # non-unistochastic point
-    xlo, xhi = core.x_interval(0.5, 0.0, 0.0)
-    assert xlo == -0.5
-    assert core.q_product_form(0.5, 0.0, 0.0, xlo) == -1.0 / 16.0
-    assert tuple(core.b_from_product_coords(0.5, 0.0, 0.0, xlo).tolist()) == (
-        0.5,
-        0.0,
-        0.0,
-        0.5,
-    )
-
-
-def test_extreme_q_search_finds_both_extremes():
-    res = core.extreme_q_search(grid_resolution=64, refine_tolerance=1e-9)
-    assert type(res.min_value) is float and type(res.max_value) is float
-    assert abs(res.min_value - (-1.0 / 16.0)) <= 1e-9
-    assert abs(res.max_value - 1.0 / 27.0) <= 1e-9
-    assert res.min_point.as_tuple() == (0.0, 0.5, 0.5, 0.0)
-    np.testing.assert_allclose(res.max_point.as_array(), [1 / 3] * 4, atol=1e-6)
-
-
-def test_extreme_q_search_rejects_tiny_grids():
-    with pytest.raises(ValueError):
-        core.extreme_q_search(grid_resolution=4)
+    # on the b1 = 1/2, s = t = 0 edge the lowest feasible x, -1/2, is the
+    # deepest non-unistochastic point, a permutation of the Schur matrix
+    b = core.b_from_product_coords(0.5, 0.0, 0.0, -0.5)
+    assert tuple(b.tolist()) == (0.5, 0.0, 0.0, 0.5)
+    assert q_of(b) == -1.0 / 16.0

@@ -1,30 +1,24 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 from unilab.analytic import (
     ABSJ_MAX,
     cdf_absj,
-    cdf_absj_values,
     mean_entropy_mu,
     mean_generalized_entropy_b3,
     mean_generalized_entropy_mu,
     q_moments,
     volume_ratio,
 )
-from unilab.core import q_values
 from unilab.estimators import (
     N_SUBSTREAMS,
-    EmpiricalCdf,
     EstimateResult,
     Statistic,
     estimate_mean,
-    ks_distance,
-    moment_suite,
 )
-from unilab.sampling import FLAT_B3, HAAR, MeasureSpec, RngStream, sample_b
+from unilab.sampling import FLAT_B3, HAAR, MeasureSpec
 
 
 def test_statistic_validation():
@@ -57,24 +51,6 @@ def test_estimate_result_serialization():
         "reference": 1.05,
         "z_score": -0.5,
     }
-
-
-def test_empirical_cdf_steps():
-    ecdf = EmpiricalCdf.from_samples([3.0, 1.0, 2.0, 2.0])
-    assert ecdf.n == 4
-    assert ecdf(0.5) == 0.0
-    assert ecdf(1.0) == 0.25  # right-continuous: jump counted at the point
-    assert ecdf(1.999) == 0.25
-    assert ecdf(2.0) == 0.75
-    assert ecdf(3.0) == 1.0
-    assert ecdf(99.0) == 1.0
-    np.testing.assert_allclose(ecdf(np.array([1.0, 2.5])), [0.25, 0.75])
-    with pytest.raises(ValueError):
-        EmpiricalCdf(np.array([2.0, 1.0]), 2)
-    with pytest.raises(ValueError):
-        EmpiricalCdf(np.array([1.0, 2.0]), 3)
-    with pytest.raises(ValueError):
-        EmpiricalCdf.from_samples([])
 
 
 def test_estimate_mean_rejects_small_n():
@@ -174,16 +150,6 @@ def test_determinism_across_runs_and_threads():
     assert estimate_mean(*args, seed=43).estimate != first.estimate
 
 
-def test_threads_env_fallback(monkeypatch):
-    args = (FLAT_B3, Statistic.q(), 5000)
-    base = estimate_mean(*args, seed=11, threads=3)
-    monkeypatch.setenv("UNILAB_THREADS", "2")
-    assert estimate_mean(*args, seed=11) == base
-    monkeypatch.setenv("UNILAB_THREADS", "not-a-number")
-    with pytest.raises(ValueError, match="UNILAB_THREADS"):
-        estimate_mean(*args, seed=11)
-
-
 def test_entropy_seed_zero_is_recorded_and_replayable():
     r = estimate_mean(FLAT_B3, Statistic.q(), 1000, seed=0)
     assert r.seed > 0
@@ -204,63 +170,6 @@ def test_sigma_q_flat():
     r = estimate_mean(FLAT_B3, Statistic.q(), 10**6, seed=75193)
     sample_sigma = r.std_error * math.sqrt(r.n_samples)
     assert sample_sigma == pytest.approx(0.011529064547824371, rel=0.02)
-
-
-def test_moment_suite_rows():
-    rows = moment_suite(1.5, 3, 10**5, seed=75193)
-    assert len(rows) == 4
-    zero = rows[0]
-    assert zero.estimate == 1.0 and zero.std_error == 0.0 and zero.z_score == 0.0
-    assert zero.reference == 1.0
-    assert zero.name == "mu_1.5:Q^0" and zero.n_samples == 10**5
-    for power, row in enumerate(rows[1:], start=1):
-        assert row.name == f"mu_1.5:Q^{power}"
-        assert row.reference == pytest.approx(q_moments(1.5, power), rel=1e-12)
-        assert abs(row.z_score) < 4
-    assert moment_suite(1.0, 1, 10**4)[1].reference == pytest.approx(1 / 180, rel=1e-12)
-
-
-def test_moment_suite_shares_samples_and_is_deterministic():
-    a = moment_suite(2.0, 2, 5000, seed=5, threads=1)
-    b = moment_suite(2.0, 2, 5000, seed=5, threads=8)
-    assert a == b
-    with pytest.raises(ValueError):
-        moment_suite(1.0, 0, 5000)
-    with pytest.raises(ValueError):
-        moment_suite(1.0, 5, 5000)
-    with pytest.raises(ValueError):
-        moment_suite(0.4, 1, 5000)
-
-
-def test_ks_distance_null_and_discrimination():
-    n = 20_000
-    u = RngStream(314).generator.random(n)
-    # uniform draws against their own CDF: comfortably below the 99% line
-    assert ks_distance(EmpiricalCdf.from_samples(u), lambda x: np.clip(x, 0, 1)) < 1.63 / math.sqrt(n)
-
-    b = sample_b(MeasureSpec.mu(1.5), RngStream(777), n)
-    absj = 0.5 * np.sqrt(np.clip(q_values(b), 0.0, None))
-    ecdf = EmpiricalCdf.from_samples(absj)
-    assert ks_distance(ecdf, lambda y: cdf_absj_values(1.5, y)) < 1.95 / math.sqrt(n)
-    # and the k = 1 CDF is very visibly the wrong model for these samples
-    assert ks_distance(ecdf, lambda y: cdf_absj_values(1.0, y)) > 0.01
-
-
-def test_ks_distance_scalar_callable_and_small_n():
-    u = np.sort(RngStream(1).generator.random(2000))
-    ecdf = EmpiricalCdf.from_samples(u)
-    vec = ks_distance(ecdf, lambda x: np.clip(x, 0, 1))
-    scalar = ks_distance(ecdf, lambda x: min(max(float(x), 0.0), 1.0))
-    assert vec == scalar
-    with pytest.raises(ValueError):
-        ks_distance(EmpiricalCdf.from_samples(u[:999]), lambda x: x)
-
-
-def test_ks_distance_catches_one_sided_shift():
-    # all mass shifted right of the model: the plus gap must see it
-    v = np.linspace(0.5, 1.0, 2000)
-    d = ks_distance(EmpiricalCdf.from_samples(v), lambda x: np.clip(x, 0, 1))
-    assert d == pytest.approx(0.5, abs=1e-3)
 
 
 def test_substream_count_is_fixed():

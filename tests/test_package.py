@@ -11,6 +11,15 @@ import unilab
 import unilab.cli  # noqa: F401  (the benchmark reaches unilab.cli through the package)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = Path(unilab.__file__).resolve().parent
+
+#: names that left the library, with the module each lived in
+_REMOVED = {
+    "analytic": ("b3_integral", "gauss_2f1_onethird", "density_f12", "cdf_absj_values",
+                 "likelihood_ratio_at", "digamma", "log_gamma"),
+    "core": ("extreme_q_search", "ExtremeQResult", "q_product_form", "x_interval", "BVector"),
+    "estimators": ("moment_suite", "ks_distance", "EmpiricalCdf"),
+}
 
 
 def test_public_surface():
@@ -18,13 +27,15 @@ def test_public_surface():
     missing = [name for name in unilab.__all__ if not hasattr(unilab, name)]
     assert not missing
     # internal helpers live only in their modules
-    for name in ("pochhammer", "q_product_form", "x_interval", "b_from_product_coords",
-                 "embedding_gram_matrix", "split_stream"):
+    for name in ("pochhammer", "b_from_product_coords", "embedding_gram_matrix", "split_stream"):
         assert not hasattr(unilab, name), name
     assert hasattr(unilab.analytic, "pochhammer")
-    assert hasattr(unilab.core, "q_product_form") and hasattr(unilab.core, "x_interval")
     assert hasattr(unilab.core, "b_from_product_coords")
     assert hasattr(unilab.core, "embedding_gram_matrix")
+    for module, names in _REMOVED.items():
+        for name in names:
+            assert not hasattr(unilab, name), name
+            assert not hasattr(importlib.import_module(f"unilab.{module}"), name), name
 
 
 def test_names_the_benchmark_reads_are_exported():
@@ -44,8 +55,14 @@ def run_child(code, *args):
                           timeout=120, env=env)
 
 
+def test_no_library_file_mentions_scipy():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    assert [f.name for f in files if "scipy" in f.read_text()] == []
+
+
 def test_import_leaves_scipy_quadrature_unloaded():
-    # the package needs only numpy; b3_integral imports scipy.integrate on first use
+    # the package needs only numpy
     proc = run_child("import sys, unilab, unilab.cli\n"
                      "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
     assert proc.returncode == 0, proc.stderr
@@ -53,10 +70,13 @@ def test_import_leaves_scipy_quadrature_unloaded():
 
 
 _WITHOUT_SCIPY = """
-import json, sys
+import importlib, json, sys
 from pathlib import Path
 sys.modules["scipy"] = None  # every scipy import now raises ImportError
-from unilab import analytic
+import unilab
+for path in Path(unilab.__file__).parent.glob("*.py"):
+    if path.stem != "__init__":
+        importlib.import_module(f"unilab.{path.stem}")
 from unilab.cli import main
 d = Path(sys.argv[1])
 (d / "w.json").write_text(json.dumps({"b": [1 / 3] * 4}))
@@ -69,12 +89,7 @@ runs = [
     ["sample", "--measure", "haar", "--n", "10"],
 ]
 codes = [main(argv + ["--output", str(d / "out")]) for argv in runs]
-try:
-    analytic.b3_integral(lambda b1, b2: 1.0)
-    error = None
-except ImportError as exc:
-    error = str(exc)
-print(json.dumps({"codes": codes, "error": error}))
+print(json.dumps({"codes": codes}))
 """
 
 
@@ -83,7 +98,6 @@ def test_the_cli_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["codes"] == [0] * 6, proc.stderr
-    assert report["error"] is not None and "scipy" in report["error"]
 
 
 def test_functions_the_tracer_wraps_exist():

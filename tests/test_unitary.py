@@ -113,7 +113,7 @@ def test_jarlskog_bound_and_q_relation(p):
     u = from_angles(p)
     j = jarlskog(u)
     assert abs(j) <= 1 / (6 * math.sqrt(3)) + 1e-15
-    q = core.q_of(to_bistochastic(u).bvec)
+    q = core.q_of(to_bistochastic(u))
     assert j * j == pytest.approx(q / 4, abs=1e-13)
 
 
@@ -160,7 +160,7 @@ def test_reconstruct_identity_and_permutations():
 
 
 def test_reconstruct_flat_orthostochastic_point():
-    res = reconstruct(core.BVector(0.25, 0.25, 0.25, 0.25))
+    res = reconstruct((0.25, 0.25, 0.25, 0.25))
     assert res.degenerate
     r = math.sqrt(0.5)
     expected = np.array([[0.5, 0.5, r], [0.5, 0.5, -r], [r, -r, 0.0]])
@@ -204,8 +204,9 @@ def generic_feasible_b():
 
     def build(b1, s, t, xi):
         rho = math.sqrt(4 * b1 * s * t * (1 - s) * (1 - t))
-        xlo, xhi = core.x_interval(b1, s, t)
-        lo, hi = max(xlo, -rho), min(xhi, rho)
+        # and inside the x interval where all nine entries are nonnegative
+        lo = max(-(1 - s) * (1 - t) - b1 * s * t, -s * t - b1 * (1 - s) * (1 - t), -rho)
+        hi = min(s * (1 - t) + b1 * t * (1 - s), t * (1 - s) + b1 * s * (1 - t), rho)
         return core.b_from_product_coords(b1, s, t, lo + xi * (hi - lo))
 
     return st.builds(build, interior, interior, interior, interior).filter(
@@ -232,9 +233,9 @@ def test_reconstruct_round_trip_and_sign_conventions(b):
 
 
 def test_reconstruct_accepts_arrays_and_matrices():
-    b = core.BVector(1 / 3, 1 / 3, 1 / 3, 1 / 3)
+    b = (1 / 3, 1 / 3, 1 / 3, 1 / 3)
     r1 = reconstruct(b)
-    r2 = reconstruct(b.as_array())
+    r2 = reconstruct(np.array(b))
     r3 = reconstruct(core.W)
     r4 = reconstruct(core.W.entries)
     for other in (r2, r3, r4):
